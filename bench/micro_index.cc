@@ -1,7 +1,6 @@
 // Index microbenchmarks (google-benchmark): STR-tree bulk load and query
-// versus its packed (columnar SoA) layout, the dynamic R-tree, the uniform
-// grid, and brute-force filtering — the spatial-filtering side of the
-// paper's filter/refine decomposition.
+// versus its packed (columnar SoA) layout and brute-force filtering — the
+// spatial-filtering side of the paper's filter/refine decomposition.
 
 #include <benchmark/benchmark.h>
 
@@ -9,17 +8,13 @@
 
 #include "common/rng.h"
 #include "geom/envelope_batch.h"
-#include "index/grid_index.h"
 #include "index/packed_str_tree.h"
-#include "index/rtree.h"
 #include "index/str_tree.h"
 
 namespace cloudjoin {
 namespace {
 
-using index::RTree;
 using index::StrTree;
-using index::UniformGrid;
 
 std::vector<StrTree::Entry> MakeEntries(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -52,17 +47,6 @@ void BM_StrTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_StrTreeBuild)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_RTreeBuild(benchmark::State& state) {
-  auto entries = MakeEntries(state.range(0), 11);
-  for (auto _ : state) {
-    RTree tree;
-    for (const auto& e : entries) tree.Insert(e.envelope, e.id);
-    benchmark::DoNotOptimize(tree.height());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeBuild)->Arg(1000)->Arg(10000);
-
 void BM_StrTreeQuery(benchmark::State& state) {
   StrTree tree(MakeEntries(state.range(0), 13));
   Rng rng(17);
@@ -74,21 +58,6 @@ void BM_StrTreeQuery(benchmark::State& state) {
   benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_StrTreeQuery)->Arg(10000)->Arg(100000);
-
-void BM_RTreeQuery(benchmark::State& state) {
-  RTree tree;
-  for (const auto& e : MakeEntries(state.range(0), 13)) {
-    tree.Insert(e.envelope, e.id);
-  }
-  Rng rng(17);
-  int64_t hits = 0;
-  for (auto _ : state) {
-    geom::Envelope q = RandomQuery(&rng);
-    tree.Query(q, [&hits](int64_t) { ++hits; });
-  }
-  benchmark::DoNotOptimize(hits);
-}
-BENCHMARK(BM_RTreeQuery)->Arg(10000)->Arg(100000);
 
 void BM_PackedStrTreeBuild(benchmark::State& state) {
   StrTree tree(MakeEntries(state.range(0), 11));
@@ -131,21 +100,6 @@ void BM_PackedStrTreeBatchQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_PackedStrTreeBatchQuery)->Arg(10000)->Arg(100000);
-
-void BM_GridQuery(benchmark::State& state) {
-  UniformGrid grid(geom::Envelope(0, 0, 10000, 10000), 64, 64);
-  for (const auto& e : MakeEntries(state.range(0), 13)) {
-    grid.Insert(e.envelope, e.id);
-  }
-  Rng rng(17);
-  int64_t hits = 0;
-  for (auto _ : state) {
-    geom::Envelope q = RandomQuery(&rng);
-    grid.Query(q, [&hits](int64_t) { ++hits; });
-  }
-  benchmark::DoNotOptimize(hits);
-}
-BENCHMARK(BM_GridQuery)->Arg(10000)->Arg(100000);
 
 void BM_BruteForceQuery(benchmark::State& state) {
   auto entries = MakeEntries(state.range(0), 13);

@@ -19,10 +19,7 @@ void BroadcastIndex::Probe(const IdGeometry& probe,
                            const SpatialPredicate& predicate,
                            std::vector<IdPair>* out,
                            Counters* counters) const {
-  ProbeStats stats;
-  ProbeVisit(probe, predicate,
-             [out](const IdPair& pair) { out->push_back(pair); }, &stats);
-  stats.FlushTo(counters);
+  ProbeBatch(std::span<const IdGeometry>(&probe, 1), predicate, out, counters);
 }
 
 void BroadcastIndex::ProbeBatch(std::span<const IdGeometry> probes,
@@ -32,8 +29,7 @@ void BroadcastIndex::ProbeBatch(std::span<const IdGeometry> probes,
     const {
   ProbeStats stats;
   ProbeRangeVisit(probes, predicate, probe_options,
-                  [out](int64_t, const IdPair& pair) { out->push_back(pair); },
-                  &stats);
+                  [out](const IdPair& pair) { out->push_back(pair); }, &stats);
   stats.FlushTo(counters);
 }
 

@@ -13,7 +13,7 @@
 #include "exec/probe_stats.h"
 #include "exec/refiner.h"
 #include "exec/spatial_predicate.h"
-#include "index/batch_prober.h"
+#include "exec/tiled_probe.h"
 #include "index/packed_str_tree.h"
 #include "index/probe_options.h"
 #include "index/str_tree.h"
@@ -36,59 +36,39 @@ class BroadcastIndex {
   BroadcastIndex(std::vector<IdGeometry> records, double radius,
                  const PrepareOptions& prepare = PrepareOptions());
 
-  /// Statically dispatched probe: filters `probe` through the STR-tree and
-  /// refines every candidate, calling `emit(IdPair)` for each match. No
-  /// indirect call and no allocation per probe. `stats` must be non-null.
-  template <typename Emit>
-  void ProbeVisit(const IdGeometry& probe, const SpatialPredicate& predicate,
-                  Emit&& emit, ProbeStats* stats) const {
-    core_.tree->VisitQuery(probe.geometry.envelope(), [&](int64_t slot) {
-      ++stats->candidates;
-      if (refiner_.Refine(probe.geometry, static_cast<size_t>(slot),
-                          predicate, &stats->refine)) {
-        ++stats->matches;
-        emit(IdPair(probe.id,
-                    core_.records[static_cast<size_t>(slot)].id));
-      }
-    });
-  }
-
   /// Refines `probe` against every filtered candidate, appending matches
-  /// (probe_id, right_id) to `out`. Counters (optional): filter candidates,
-  /// refinement tests, and prepared/fallback refinement counts.
+  /// (probe_id, right_id) to `out` — a one-element ProbeBatch. Counters
+  /// (optional): filter candidates, refinement tests, and prepared/fallback
+  /// refinement counts.
   void Probe(const IdGeometry& probe, const SpatialPredicate& predicate,
              std::vector<IdPair>* out, Counters* counters = nullptr) const;
 
-  /// Columnar two-phase probe over a contiguous range: filters `probes` in
-  /// `probe_options.batch_size`-sized EnvelopeBatches through the packed
-  /// (or pointer) tree, then refines the dense candidate buffer with the
-  /// original probe order restored. Calls `emit(i, pair)` — `i` the
-  /// probe's index within `probes` — for exactly the matches per-record
-  /// ProbeVisit would emit, in the same order, for every knob combination.
+  /// Probes a contiguous range through the one probe driver
+  /// (exec/tiled_probe.h) over the broadcast tile — sFilter, batched
+  /// filter, JtsRefiner — calling `emit(pair)` for every match in probe
+  /// order, identically for every knob combination. `stats` must be
+  /// non-null.
   template <typename Emit>
   void ProbeRangeVisit(std::span<const IdGeometry> probes,
                        const SpatialPredicate& predicate,
                        const index::ProbeOptions& probe_options, Emit&& emit,
                        ProbeStats* stats) const {
-    index::BatchStats filter_stats;
-    index::RunBatchedProbes(
-        static_cast<int64_t>(probes.size()), *core_.tree, core_.packed.get(),
+    RunTiledProbes(
+        static_cast<int64_t>(probes.size()), core_, /*tiled=*/nullptr,
         probe_options,
-        [&](int64_t i) {
+        [&](int64_t i) -> const geom::Envelope& {
           return probes[static_cast<size_t>(i)].geometry.envelope();
         },
-        [&](int64_t i, int64_t slot) {
+        [&](int64_t i, int64_t row) {
           const IdGeometry& probe = probes[static_cast<size_t>(i)];
-          ++stats->candidates;
-          if (refiner_.Refine(probe.geometry, static_cast<size_t>(slot),
-                              predicate, &stats->refine)) {
-            ++stats->matches;
-            emit(i, IdPair(probe.id,
-                           core_.records[static_cast<size_t>(slot)].id));
+          if (!refiner_.Refine(probe.geometry, static_cast<size_t>(row),
+                               predicate, &stats->refine)) {
+            return false;
           }
+          emit(IdPair(probe.id, core_.records[static_cast<size_t>(row)].id));
+          return true;
         },
-        &filter_stats);
-    stats->AddFilter(filter_stats);
+        stats);
   }
 
   /// Row-batch probe (mirrors ISP-MC's vectorized execution): probes every

@@ -20,8 +20,8 @@
 #include "exec/refiner.h"
 #include "exec/spatial_predicate.h"
 #include "exec/table_input.h"
+#include "exec/tiled_probe.h"
 #include "geosim/geometry.h"
-#include "index/batch_prober.h"
 #include "index/probe_options.h"
 
 namespace cloudjoin::exec {
@@ -110,90 +110,45 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
                              ProbeStats* stats, ColumnarScanStats* scan_stats,
                              OnBlock&& on_block);
 
-/// Accessor-based form of the two-phase probe driver, for probe sets that
-/// are not laid out as a `GeosProbeBatch` (e.g. the streaming window grid,
-/// which owns its parsed geometries inside per-cell entries and cannot
-/// hand them to a batch without cloning). `get_geom(i)` must return the
-/// parsed GEOS-role geometry (convertible to `const geosim::Geometry&`),
+/// Accessor-based form of the GEOS-kernel broadcast probe, for probe sets
+/// that are not laid out as a `GeosProbeBatch` (e.g. the streaming window
+/// grid, which owns its parsed geometries inside per-cell entries and
+/// cannot hand them to a batch without cloning). `get_geom(i)` must return
+/// the parsed GEOS-role geometry (convertible to `const geosim::Geometry&`),
 /// `get_wkt(i)` the retained WKT text (`const std::string&` — the refiner
 /// re-parses it on the prepared path), and `get_id(i)` the probe record
-/// id. Emits `emit(IdPair)` for every match in probe order; `stats` must
-/// be non-null. The batch overload below delegates here.
-namespace internal {
-
-/// The driver proper, post sFilter: batch filter + refine over probes
-/// [0, count) as the accessors present them.
-template <typename GetGeom, typename GetWkt, typename GetId, typename Emit>
-void RunGeosProbesImpl(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
-                       GetId&& get_id, const BuiltRight& right,
-                       const SpatialPredicate& predicate,
-                       const index::ProbeOptions& probe_options, Emit&& emit,
-                       ProbeStats* stats) {
-  const GeosRefiner refiner(&right, &predicate);
-  index::BatchStats filter_stats;
-  index::RunBatchedProbes(
-      count, *right.tree, right.packed.get(), probe_options,
-      [&](int64_t i) {
-        const geosim::Geometry& g = get_geom(i);
-        return g.getEnvelopeInternal();
-      },
-      [&](int64_t i, int64_t slot) {
-        ++stats->candidates;
-        const geosim::Geometry& g = get_geom(i);
-        if (refiner.Refine(g, get_wkt(i), static_cast<size_t>(slot),
-                           &stats->refine)) {
-          ++stats->matches;
-          emit(IdPair(get_id(i), right.ids[static_cast<size_t>(slot)]));
-        }
-      },
-      &filter_stats);
-  stats->AddFilter(filter_stats);
-}
-
-}  // namespace internal
-
+/// id. Runs the one probe driver (exec/tiled_probe.h) over the broadcast
+/// tile and refines through GeosRefiner, emitting `emit(IdPair)` for every
+/// match in probe order; `stats` must be non-null. The batch overload
+/// below delegates here.
 template <typename GetGeom, typename GetWkt, typename GetId, typename Emit>
 void RunGeosProbes(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
                    GetId&& get_id, const BuiltRight& right,
                    const SpatialPredicate& predicate,
                    const index::ProbeOptions& probe_options, Emit&& emit,
                    ProbeStats* stats) {
-  // sFilter pre-filter: drop probes whose envelope provably touches no
-  // right entry before any tree descent. Survivors keep their relative
-  // order, and a dropped probe emits nothing either way, so output is
-  // byte-identical with the filter off.
-  if (probe_options.sfilter && right.sfilter != nullptr) {
-    std::vector<int64_t> survivors;
-    survivors.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      const geosim::Geometry& g = get_geom(i);
-      if (right.sfilter->MightIntersect(g.getEnvelopeInternal())) {
-        survivors.push_back(i);
-      }
-    }
-    stats->sfilter_skipped +=
-        count - static_cast<int64_t>(survivors.size());
-    internal::RunGeosProbesImpl(
-        static_cast<int64_t>(survivors.size()),
-        [&](int64_t i) -> decltype(auto) {
-          return get_geom(survivors[static_cast<size_t>(i)]);
-        },
-        [&](int64_t i) -> decltype(auto) {
-          return get_wkt(survivors[static_cast<size_t>(i)]);
-        },
-        [&](int64_t i) { return get_id(survivors[static_cast<size_t>(i)]); },
-        right, predicate, probe_options, std::forward<Emit>(emit), stats);
-    return;
-  }
-  internal::RunGeosProbesImpl(count, std::forward<GetGeom>(get_geom),
-                              std::forward<GetWkt>(get_wkt),
-                              std::forward<GetId>(get_id), right, predicate,
-                              probe_options, std::forward<Emit>(emit), stats);
+  const GeosRefiner refiner(&right, &predicate);
+  RunTiledProbes(
+      count, right, /*tiled=*/nullptr, probe_options,
+      [&](int64_t i) -> const geom::Envelope& {
+        const geosim::Geometry& g = get_geom(i);
+        return g.getEnvelopeInternal();
+      },
+      [&](int64_t i, int64_t row) {
+        const geosim::Geometry& g = get_geom(i);
+        if (!refiner.Refine(g, get_wkt(i), static_cast<size_t>(row),
+                            &stats->refine)) {
+          return false;
+        }
+        emit(IdPair(get_id(i), right.ids[static_cast<size_t>(row)]));
+        return true;
+      },
+      stats);
 }
 
-/// Runs one parsed probe batch through the shared two-phase driver
-/// (columnar filter via index::RunBatchedProbes, then GeosRefiner), calling
-/// `emit(IdPair)` for every match in probe order. `stats` must be non-null.
+/// Runs one parsed probe batch through the one probe driver (broadcast
+/// tile, GeosRefiner), calling `emit(IdPair)` for every match in probe
+/// order. `stats` must be non-null.
 template <typename Emit>
 void RunGeosProbes(const GeosProbeBatch& probes, const BuiltRight& right,
                    const SpatialPredicate& predicate,
@@ -226,14 +181,11 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
   // entries are already expanded by the predicate's filter radius, so a
   // block whose zone-map misses `region` cannot contribute a candidate.
   const geom::Envelope& region = right.tree->bounds();
-  const index::SFilter* sfilter =
-      probe_options.sfilter ? right.sfilter.get() : nullptr;
 
   // Per-block lazy-materialization scratch, reused across blocks.
   std::vector<std::unique_ptr<geosim::Geometry>> geoms;
   std::vector<std::string> wkt;
   std::vector<char> attempted;
-  std::vector<int64_t> survivors;
 
   for (int64_t b = 0; b < reader.num_blocks(); ++b) {
     Stopwatch block_watch;
@@ -253,34 +205,17 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
     wkt.assign(static_cast<size_t>(n), std::string());
     attempted.assign(static_cast<size_t>(n), 0);
 
-    // sFilter pre-filter over the stored envelope column: rows it rejects
-    // never enter a batch, never descend the tree, and — because a
-    // rejected row has zero candidates — never materialize their WKT.
-    int64_t probe_count = n;
-    if (sfilter != nullptr) {
-      survivors.clear();
-      for (int64_t i = 0; i < n; ++i) {
-        if (sfilter->MightIntersect(block.RowEnvelope(i))) {
-          survivors.push_back(i);
-        }
-      }
-      stats->sfilter_skipped += n - static_cast<int64_t>(survivors.size());
-      probe_count = static_cast<int64_t>(survivors.size());
-    }
-    auto row_of = [&](int64_t i) {
-      return sfilter != nullptr ? survivors[static_cast<size_t>(i)] : i;
-    };
-
-    index::BatchStats filter_stats;
-    index::RunBatchedProbes(
-        probe_count, *right.tree, right.packed.get(), probe_options,
-        [&](int64_t i) { return block.RowEnvelope(row_of(i)); },
-        [&](int64_t i, int64_t slot) {
-          const size_t s = static_cast<size_t>(row_of(i));
+    // The driver filters the stored envelope column (sFilter, then tree);
+    // a row's WKT is parsed only when its first candidate arrives, so rows
+    // the sFilter or the tree reject are never materialized.
+    RunTiledProbes(
+        n, right, /*tiled=*/nullptr, probe_options,
+        [&](int64_t i) { return block.RowEnvelope(i); },
+        [&](int64_t i, int64_t row) {
+          const size_t s = static_cast<size_t>(i);
           if (!attempted[s]) {
-            // First surviving candidate of this row: materialize the WKT
-            // column now (the text path parsed it before the filter ever
-            // ran; rows with zero candidates never reach this point).
+            // First candidate of this row: materialize the WKT column now
+            // (the text path parsed it before the filter ever ran).
             attempted[s] = 1;
             auto parsed = ParseGeosWkt(block.wkt[s]);
             if (parsed.ok()) {
@@ -291,16 +226,21 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
               counters->Add(counter::kLeftBadGeom, 1);
             }
           }
-          if (geoms[s] == nullptr) return;
-          ++stats->candidates;
-          if (refiner.Refine(*geoms[s], wkt[s], static_cast<size_t>(slot),
-                             &stats->refine)) {
-            ++stats->matches;
-            emit(IdPair(block.ids[s], right.ids[static_cast<size_t>(slot)]));
+          if (geoms[s] == nullptr) {
+            // A row whose WKT does not parse is a dropped input row, not a
+            // probe: the text scan never lets it reach the filter, so take
+            // back the candidate the driver counted.
+            --stats->candidates;
+            return false;
           }
+          if (!refiner.Refine(*geoms[s], wkt[s], static_cast<size_t>(row),
+                              &stats->refine)) {
+            return false;
+          }
+          emit(IdPair(block.ids[s], right.ids[static_cast<size_t>(row)]));
+          return true;
         },
-        &filter_stats);
-    stats->AddFilter(filter_stats);
+        stats);
     on_block(b, block_watch.ElapsedSeconds());
   }
   return Status::OK();

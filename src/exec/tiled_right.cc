@@ -10,7 +10,9 @@ namespace cloudjoin::exec {
 std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
                                             const TiledRightOptions& options,
                                             Counters* counters) {
-  if (right.tree == nullptr || right.tree->num_entries() == 0) {
+  // An empty right side — or one whose every geometry is empty, leaving
+  // the tree bounds empty — can match nothing and has no extent to tile.
+  if (right.tree == nullptr || right.tree->bounds().IsEmpty()) {
     return nullptr;
   }
   const std::vector<index::StrTree::Entry>& entries = right.tree->entries();
@@ -53,7 +55,7 @@ std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
   // Replicate each entry into every tile its expanded envelope touches and
   // build the per-tile trees. Entry indices in a tile tree are slot
   // positions; the slot records the original row for record access and the
-  // expanded envelope for OwnerTileOf dedup.
+  // expanded envelope for reference-point dedup.
   const index::SpatialPartitioner& partitioner = *tiled->partitioner_;
   tiled->tiles_.resize(partitioner.tiles().size());
   for (const index::StrTree::Entry& e : entries) {

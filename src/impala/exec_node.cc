@@ -10,7 +10,7 @@
 #include "exec/probe_stats.h"
 #include "exec/refiner.h"
 #include "exec/right_builder.h"
-#include "index/batch_prober.h"
+#include "exec/tiled_probe.h"
 
 namespace cloudjoin::impala {
 
@@ -30,10 +30,9 @@ int64_t RowBytes(const Row& row) {
   return bytes;
 }
 
-/// The spatial-join refinement personality, shared by the broadcast and
-/// partitioned join nodes: the prepared fast path is the core's
-/// GeosRefiner; the UDF re-parse (faithful ISP-MC) and cached-parse
-/// ablation fallbacks are this engine's own.
+/// The spatial-join refinement personality, for both join strategies: the
+/// prepared fast path is the core's GeosRefiner; the UDF re-parse (faithful
+/// ISP-MC) and cached-parse ablation fallbacks are this engine's own.
 class SpatialRefinery {
  public:
   SpatialRefinery(const BroadcastRight* right, const SpatialJoinSpec* spec,
@@ -107,17 +106,12 @@ class SpatialRefinery {
   std::vector<Value> udf_args_;  // scratch, reused across pairs
 };
 
-/// Parse phase shared by both spatial join nodes: materializes the
-/// batch's probe geometries (the paper's second parsing site) through the
-/// core's one WKT entry point, dropping null/bad geometry rows under the
-/// unified left-side counters. Then, when the probe configuration asks,
-/// drops probes whose envelope the broadcast sFilter proves candidate-free
-/// (conservative bitmap: false positives possible, false negatives not —
-/// a dropped probe cannot have matched, so results are byte-identical).
+/// Parse phase of the spatial join: materializes the batch's probe
+/// geometries (the paper's second parsing site) through the core's one WKT
+/// entry point, dropping null/bad geometry rows under the unified
+/// left-side counters.
 void ParseProbeBatch(const RowBatch& left_rows, int left_geom_slot,
-                     const core::BuiltRight& right,
-                     const index::ProbeOptions& probe, Counters* counters,
-                     std::vector<const Row*>* probe_rows,
+                     Counters* counters, std::vector<const Row*>* probe_rows,
                      std::vector<const std::string*>* probe_wkt,
                      std::vector<std::unique_ptr<geosim::Geometry>>* geoms) {
   probe_rows->clear();
@@ -139,26 +133,6 @@ void ParseProbeBatch(const RowBatch& left_rows, int left_geom_slot,
     probe_rows->push_back(&left_row);
     probe_wkt->push_back(left_wkt);
     geoms->push_back(std::move(parsed).value());
-  }
-  if (!probe.sfilter || right.sfilter == nullptr || geoms->empty()) return;
-  size_t kept = 0;
-  for (size_t i = 0; i < geoms->size(); ++i) {
-    if (!right.sfilter->MightIntersect((*geoms)[i]->getEnvelopeInternal())) {
-      continue;
-    }
-    if (kept != i) {
-      (*probe_rows)[kept] = (*probe_rows)[i];
-      (*probe_wkt)[kept] = (*probe_wkt)[i];
-      (*geoms)[kept] = std::move((*geoms)[i]);
-    }
-    ++kept;
-  }
-  const int64_t skipped = static_cast<int64_t>(geoms->size() - kept);
-  if (skipped > 0) {
-    counters->Add(core::counter::kSfilterSkipped, skipped);
-    probe_rows->resize(kept);
-    probe_wkt->resize(kept);
-    geoms->resize(kept);
   }
 }
 
@@ -482,192 +456,68 @@ int64_t BroadcastRight::MemoryBytes() const {
 
 SpatialJoinNode::SpatialJoinNode(
     std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
-    const SpatialJoinSpec* spec,
-    const std::vector<std::unique_ptr<Expr>>* post_filters,
-    const std::vector<const Expr*>* output_exprs, bool cache_parsed,
-    Counters* counters, const index::ProbeOptions& probe)
-    : left_child_(std::move(left_child)),
-      right_(right),
-      spec_(spec),
-      post_filters_(post_filters),
-      output_exprs_(output_exprs),
-      cache_parsed_(cache_parsed),
-      counters_(counters),
-      probe_(probe) {}
-
-Status SpatialJoinNode::Open() { return left_child_->Open(); }
-
-void SpatialJoinNode::Close() { left_child_->Close(); }
-
-void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseProbeBatch(left_rows, spec_->left_geom_slot, *right_, probe_,
-                  counters_, &probe_rows_, &probe_wkt_, &probe_geoms_);
-  if (probe_rows_.empty()) return;
-
-  // Filter + refine: the whole row batch goes through the columnar driver
-  // (packed tree, Hilbert ordering per probe_), and candidates come back
-  // probe-ascending so output row order matches per-row execution.
-  SpatialRefinery refinery(right_, spec_, cache_parsed_);
-  int64_t batch_candidates = 0;
-  int64_t current_probe = -1;
-  index::BatchStats filter_stats;
-  index::RunBatchedProbes(
-      static_cast<int64_t>(probe_geoms_.size()), *right_->tree,
-      right_->packed.get(), probe_,
-      [&](int64_t i) {
-        return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
-      },
-      [&](int64_t i, int64_t id) {
-        ++batch_candidates;
-        if (i != current_probe) {
-          // First candidate of probe i: set up the per-probe refinement
-          // state (candidates arrive grouped by probe, in row order).
-          current_probe = i;
-          refinery.BeginProbe(*probe_wkt_[static_cast<size_t>(i)]);
-        }
-        if (!refinery.Refine(*probe_geoms_[static_cast<size_t>(i)],
-                             static_cast<size_t>(id))) {
-          return;
-        }
-        EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],
-                    right_->rows[static_cast<size_t>(id)], *post_filters_,
-                    *output_exprs_, &pending_);
-      },
-      &filter_stats);
-  counters_->Add(core::counter::kCandidates, batch_candidates);
-  refinery.FlushTo(counters_);
-  counters_->Add(core::counter::kFilterBatches, filter_stats.batches);
-  counters_->Add(core::counter::kFilterCandidates, filter_stats.candidates);
-  if (filter_stats.simd_lanes > 0) {
-    counters_->Add(core::counter::kFilterSimdLanes, filter_stats.simd_lanes);
-  }
-}
-
-Status SpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
-  batch->Clear();
-  while (!batch->IsFull()) {
-    if (pending_idx_ < pending_.size()) {
-      batch->Add(std::move(pending_[pending_idx_++]));
-      continue;
-    }
-    pending_.clear();
-    pending_idx_ = 0;
-    if (left_eos_) break;
-    CLOUDJOIN_RETURN_IF_ERROR(left_child_->GetNext(&left_batch_, &left_eos_));
-    ProcessLeftBatch(left_batch_);
-  }
-  *eos = pending_idx_ >= pending_.size() && left_eos_;
-  return Status::OK();
-}
-
-// ----------------------------------------- PartitionedSpatialJoin --------
-
-PartitionedSpatialJoinNode::PartitionedSpatialJoinNode(
-    std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
-    const core::TiledRight* tiles, const SpatialJoinSpec* spec,
+    const core::TiledRight* tiled, const SpatialJoinSpec* spec,
     const std::vector<std::unique_ptr<Expr>>* post_filters,
     const std::vector<const Expr*>* output_exprs, bool cache_parsed,
     Counters* counters, const index::ProbeOptions& probe,
     std::vector<double>* tile_seconds)
     : left_child_(std::move(left_child)),
       right_(right),
-      tiles_(tiles),
+      tiled_(tiled),
       spec_(spec),
       post_filters_(post_filters),
       output_exprs_(output_exprs),
       cache_parsed_(cache_parsed),
       counters_(counters),
       probe_(probe),
-      tile_seconds_(tile_seconds) {
-  CLOUDJOIN_CHECK(tiles_ != nullptr);
-  CLOUDJOIN_CHECK(tile_seconds_ != nullptr &&
-                  static_cast<int>(tile_seconds_->size()) ==
-                      tiles_->num_tiles());
-}
+      tile_seconds_(tile_seconds) {}
 
-Status PartitionedSpatialJoinNode::Open() { return left_child_->Open(); }
+Status SpatialJoinNode::Open() { return left_child_->Open(); }
 
-void PartitionedSpatialJoinNode::Close() { left_child_->Close(); }
+void SpatialJoinNode::Close() { left_child_->Close(); }
 
-void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseProbeBatch(left_rows, spec_->left_geom_slot, *right_, probe_,
-                  counters_, &probe_rows_, &probe_wkt_, &probe_geoms_);
+void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
+  ParseProbeBatch(left_rows, spec_->left_geom_slot, counters_, &probe_rows_,
+                  &probe_wkt_, &probe_geoms_);
   if (probe_rows_.empty()) return;
 
-  // Route each probe to the tiles its envelope touches (the partitioned
-  // join's shuffle). A probe outside every tile (outside the right tree's
-  // bounds) simply matches nothing, same as the broadcast descent.
-  const index::SpatialPartitioner& partitioner = tiles_->partitioner();
-  tile_probes_.resize(static_cast<size_t>(tiles_->num_tiles()));
-  for (std::vector<int64_t>& probes : tile_probes_) probes.clear();
-  for (size_t i = 0; i < probe_geoms_.size(); ++i) {
-    for (int t : partitioner.TilesFor(probe_geoms_[i]->getEnvelopeInternal())) {
-      tile_probes_[static_cast<size_t>(t)].push_back(
-          static_cast<int64_t>(i));
-    }
-  }
-
-  // Tile-major probe loop: each tile's work is metered separately — the
-  // tile tasks a simulated cluster schedules independently of the scan
-  // ranges. Replicated candidates are suppressed by reference-point dedup
-  // before refinement, so replication costs an envelope test, never an
-  // exact geometry test.
+  // The whole row batch goes through the core's probe driver — sFilter,
+  // tile routing and reference-point dedup when partitioned, columnar
+  // filter per probe_ — and owned candidates come back probe-ascending
+  // within each tile, so broadcast output row order matches per-row
+  // execution.
   SpatialRefinery refinery(right_, spec_, cache_parsed_);
-  int64_t batch_candidates = 0;
-  index::BatchStats filter_stats;
-  for (int t = 0; t < tiles_->num_tiles(); ++t) {
-    const std::vector<int64_t>& probes =
-        tile_probes_[static_cast<size_t>(t)];
-    if (probes.empty() || tiles_->tree(t).num_entries() == 0) continue;
-    CpuTimer tile_watch;
-    const std::vector<core::TiledRight::Slot>& slots = tiles_->slots(t);
-    int64_t current_probe = -1;
-    index::RunBatchedProbes(
-        static_cast<int64_t>(probes.size()), tiles_->tree(t),
-        &tiles_->packed(t), probe_,
-        [&](int64_t i) {
-          return probe_geoms_[static_cast<size_t>(probes[static_cast<size_t>(
-                                  i)])]->getEnvelopeInternal();
-        },
-        [&](int64_t i, int64_t slot_id) {
-          ++batch_candidates;
-          const size_t p =
-              static_cast<size_t>(probes[static_cast<size_t>(i)]);
-          const core::TiledRight::Slot& slot =
-              slots[static_cast<size_t>(slot_id)];
-          // Reference-point dedup: a pair replicated into several tiles is
-          // emitted only by the tile owning the lower-left corner of its
-          // envelope intersection.
-          if (partitioner.OwnerTileOf(
-                  probe_geoms_[p]->getEnvelopeInternal(), slot.envelope) !=
-              t) {
-            return;
-          }
-          if (static_cast<int64_t>(p) != current_probe) {
-            current_probe = static_cast<int64_t>(p);
-            refinery.BeginProbe(*probe_wkt_[p]);
-          }
-          if (!refinery.Refine(*probe_geoms_[p],
-                               static_cast<size_t>(slot.row))) {
-            return;
-          }
-          EmitJoinRow(*probe_rows_[p],
-                      right_->rows[static_cast<size_t>(slot.row)],
-                      *post_filters_, *output_exprs_, &pending_);
-        },
-        &filter_stats);
-    (*tile_seconds_)[static_cast<size_t>(t)] += tile_watch.ElapsedSeconds();
-  }
-  counters_->Add(core::counter::kCandidates, batch_candidates);
+  core::ProbeStats stats;
+  int64_t current_probe = -1;
+  core::RunTiledProbes(
+      static_cast<int64_t>(probe_geoms_.size()), *right_, tiled_, probe_,
+      [&](int64_t i) -> const geom::Envelope& {
+        return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
+      },
+      [&](int64_t i, int64_t row) {
+        const size_t p = static_cast<size_t>(i);
+        if (i != current_probe) {
+          // First candidate of probe i in this tile: set up the per-probe
+          // refinement state (candidates arrive grouped by probe).
+          current_probe = i;
+          refinery.BeginProbe(*probe_wkt_[p]);
+        }
+        if (!refinery.Refine(*probe_geoms_[p], static_cast<size_t>(row))) {
+          return false;
+        }
+        EmitJoinRow(*probe_rows_[p], right_->rows[static_cast<size_t>(row)],
+                    *post_filters_, *output_exprs_, &pending_);
+        return true;
+      },
+      &stats, tile_seconds_);
+  // Post-join conjuncts decide the output rows, so Impala reports its
+  // refinements (join.refinements) rather than refine matches.
+  stats.matches = 0;
+  stats.FlushTo(counters_);
   refinery.FlushTo(counters_);
-  counters_->Add(core::counter::kFilterBatches, filter_stats.batches);
-  counters_->Add(core::counter::kFilterCandidates, filter_stats.candidates);
-  if (filter_stats.simd_lanes > 0) {
-    counters_->Add(core::counter::kFilterSimdLanes, filter_stats.simd_lanes);
-  }
 }
 
-Status PartitionedSpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
+Status SpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
   batch->Clear();
   while (!batch->IsFull()) {
     if (pending_idx_ < pending_.size()) {
@@ -802,16 +652,11 @@ std::unique_ptr<ExecNode> MakeJoinExecNode(
     const BroadcastRight* right, const cloudjoin::exec::TiledRight* tiled,
     const std::vector<const Expr*>* output_exprs, Counters* counters,
     std::vector<double>* tile_seconds) {
-  if (join.kind == PlanNode::Kind::kSpatialJoin && tiled != nullptr) {
-    return std::make_unique<PartitionedSpatialJoinNode>(
-        std::move(left_child), right, tiled, &join.spatial,
-        &join.post_filters, output_exprs, join.cache_parsed_geometries,
-        counters, join.probe, tile_seconds);
-  }
   if (join.kind == PlanNode::Kind::kSpatialJoin) {
     return std::make_unique<SpatialJoinNode>(
-        std::move(left_child), right, &join.spatial, &join.post_filters,
-        output_exprs, join.cache_parsed_geometries, counters, join.probe);
+        std::move(left_child), right, tiled, &join.spatial,
+        &join.post_filters, output_exprs, join.cache_parsed_geometries,
+        counters, join.probe, tiled != nullptr ? tile_seconds : nullptr);
   }
   return std::make_unique<CrossJoinNode>(std::move(left_child), right,
                                          &join.post_filters, output_exprs,

@@ -119,37 +119,56 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
     const std::vector<bool>* needed_slots, int geom_slot, double radius,
     bool cache_parsed, bool prepare_geometries, Counters* counters);
 
-/// The paper's SpatialJoin exec node: streams left batches, probes the
-/// broadcast R-tree (spatial filtering), refines candidate pairs with the
-/// registered ST_* UDF, applies post-join conjuncts, and emits the
-/// evaluated output expressions.
+/// The paper's SpatialJoin exec node, for both join strategies: streams
+/// left batches, probes the right side through the core's one probe driver
+/// (exec::RunTiledProbes — sFilter, spatial filtering), refines candidate
+/// pairs with the registered ST_* UDF, applies post-join conjuncts, and
+/// emits the evaluated output expressions.
+///
+/// With `tiled` null the right side is broadcast: one tile, output in left
+/// row order. With `tiled` set (the partitioned strategy) each probe visits
+/// only the tiles its envelope touches, and replicated candidates are
+/// suppressed by reference-point dedup before refinement, so the match
+/// *set* equals the broadcast node's exactly (row order is tile-major — no
+/// ORDER BY = no ordering contract). Per-tile compute is then metered into
+/// `tile_seconds` (one slot per tile, accumulated across all fragment
+/// instances); the runtime reports those as separate join tasks and
+/// deducts them from the enclosing scan range's timing, which is what lets
+/// a simulated cluster schedule hot tiles independently of the scan ranges
+/// that produced them.
 class SpatialJoinNode final : public ExecNode {
  public:
+  /// `tiled` and `tile_seconds` are null for the broadcast strategy.
   SpatialJoinNode(std::unique_ptr<ExecNode> left_child,
-                  const BroadcastRight* right, const SpatialJoinSpec* spec,
+                  const BroadcastRight* right,
+                  const cloudjoin::exec::TiledRight* tiled,
+                  const SpatialJoinSpec* spec,
                   const std::vector<std::unique_ptr<Expr>>* post_filters,
                   const std::vector<const Expr*>* output_exprs,
                   bool cache_parsed, Counters* counters,
-                  const index::ProbeOptions& probe = index::ProbeOptions());
+                  const index::ProbeOptions& probe,
+                  std::vector<double>* tile_seconds);
 
   Status Open() override;
   Status GetNext(RowBatch* batch, bool* eos) override;
   void Close() override;
 
  private:
-  /// Probes one whole left row batch through the columnar filter (parse
-  /// all geometries, batch the envelopes, refine off the dense candidate
-  /// buffer in row order), appending join output rows to pending_.
+  /// Probes one whole left row batch (parse all geometries, then the
+  /// driver filters and the refinery refines owned candidates), appending
+  /// join output rows to pending_.
   void ProcessLeftBatch(const RowBatch& left_rows);
 
   std::unique_ptr<ExecNode> left_child_;
   const BroadcastRight* right_;
+  const cloudjoin::exec::TiledRight* tiled_;
   const SpatialJoinSpec* spec_;
   const std::vector<std::unique_ptr<Expr>>* post_filters_;
   const std::vector<const Expr*>* output_exprs_;
   bool cache_parsed_;
   Counters* counters_;
   index::ProbeOptions probe_;
+  std::vector<double>* tile_seconds_;
   RowBatch left_batch_;
   bool left_eos_ = false;
   // Carry-over rows when a probe batch overflows the output batch.
@@ -160,58 +179,6 @@ class SpatialJoinNode final : public ExecNode {
   std::vector<const Row*> probe_rows_;
   std::vector<const std::string*> probe_wkt_;
   std::vector<std::unique_ptr<geosim::Geometry>> probe_geoms_;
-};
-
-/// The partitioned-strategy spatial join: the right side is sharded into
-/// spatial tiles (exec::TiledRight) and each left batch is probed
-/// tile-major — every probe visits only the tiles its envelope touches,
-/// and replicated candidate pairs are suppressed with the partitioner's
-/// reference-point dedup (OwnerTileOf), so the match *set* equals the
-/// broadcast node's exactly (row order differs: tile-major vs row-major —
-/// no ORDER BY = no ordering contract).
-///
-/// Per-tile compute is metered into `tile_seconds` (one slot per tile,
-/// accumulated across all fragment instances); the runtime reports those
-/// as separate join tasks and deducts them from the enclosing scan
-/// range's timing, which is what lets a simulated cluster schedule hot
-/// tiles independently of the scan ranges that produced them.
-class PartitionedSpatialJoinNode final : public ExecNode {
- public:
-  PartitionedSpatialJoinNode(
-      std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
-      const cloudjoin::exec::TiledRight* tiles, const SpatialJoinSpec* spec,
-      const std::vector<std::unique_ptr<Expr>>* post_filters,
-      const std::vector<const Expr*>* output_exprs, bool cache_parsed,
-      Counters* counters, const index::ProbeOptions& probe,
-      std::vector<double>* tile_seconds);
-
-  Status Open() override;
-  Status GetNext(RowBatch* batch, bool* eos) override;
-  void Close() override;
-
- private:
-  void ProcessLeftBatch(const RowBatch& left_rows);
-
-  std::unique_ptr<ExecNode> left_child_;
-  const BroadcastRight* right_;
-  const cloudjoin::exec::TiledRight* tiles_;
-  const SpatialJoinSpec* spec_;
-  const std::vector<std::unique_ptr<Expr>>* post_filters_;
-  const std::vector<const Expr*>* output_exprs_;
-  bool cache_parsed_;
-  Counters* counters_;
-  index::ProbeOptions probe_;
-  std::vector<double>* tile_seconds_;
-  RowBatch left_batch_;
-  bool left_eos_ = false;
-  std::vector<Row> pending_;
-  size_t pending_idx_ = 0;
-  // Per-batch probe scratch (see SpatialJoinNode).
-  std::vector<const Row*> probe_rows_;
-  std::vector<const std::string*> probe_wkt_;
-  std::vector<std::unique_ptr<geosim::Geometry>> probe_geoms_;
-  // Tile routing scratch: probe indices per tile, reused across batches.
-  std::vector<std::vector<int64_t>> tile_probes_;
 };
 
 /// Nested-loop cross join against the broadcast right side (the naive
@@ -282,11 +249,11 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRightForPlan(
     const PlanNode& join, const PlanNode& right_scan, const TableDef* table,
     const dfs::SimFile* file, Counters* counters);
 
-/// Instantiates the join operator for plan node `join`: the partitioned
-/// spatial join when `tiled` is non-null, the broadcast spatial join for
-/// kSpatialJoin otherwise, the nested-loop cross join for kCrossJoin.
-/// `output_exprs` views `join.outputs`; `tile_seconds` (partitioned only)
-/// receives per-tile compute.
+/// Instantiates the join operator for plan node `join`: the spatial join
+/// for kSpatialJoin — partitioned when `tiled` is non-null, broadcast
+/// otherwise — and the nested-loop cross join for kCrossJoin.
+/// `output_exprs` views `join.outputs`; `tile_seconds` receives per-tile
+/// compute when `tiled` is set, one slot per tile.
 std::unique_ptr<ExecNode> MakeJoinExecNode(
     const PlanNode& join, std::unique_ptr<ExecNode> left_child,
     const BroadcastRight* right, const cloudjoin::exec::TiledRight* tiled,

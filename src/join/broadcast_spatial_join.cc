@@ -50,7 +50,9 @@ std::vector<IdPair> ParallelBroadcastSpatialJoin(
       static_cast<size_t>(num_shards));
   std::vector<ProbeStats> shard_stats(static_cast<size_t>(num_shards));
   ParallelFor(&pool, num_shards, [&](int64_t shard) {
-    const int64_t begin = shard * shard_size;
+    // Trailing shards may start past the end when n does not divide
+    // evenly; they probe an empty range.
+    const int64_t begin = std::min(n, shard * shard_size);
     const int64_t end = std::min(n, begin + shard_size);
     auto* shard_pairs = &shard_out[static_cast<size_t>(shard)];
     ProbeStats* stats = &shard_stats[static_cast<size_t>(shard)];
@@ -61,9 +63,7 @@ std::vector<IdPair> ParallelBroadcastSpatialJoin(
         std::span<const IdGeometry>(left.data() + begin,
                                     static_cast<size_t>(end - begin)),
         predicate, probe,
-        [shard_pairs](int64_t, const IdPair& pair) {
-          shard_pairs->push_back(pair);
-        },
+        [shard_pairs](const IdPair& pair) { shard_pairs->push_back(pair); },
         stats);
   });
 

@@ -13,13 +13,15 @@ namespace cloudjoin::join {
 /// outgrows worker memory (our extension beyond the paper's broadcast-only
 /// prototypes).
 ///
-/// Both inputs are bucketed by spatial tiles computed from a sample of the
-/// right side; items spanning several tiles are replicated; each tile is
-/// joined independently with a local STR-tree; pairs introduced by
-/// replication are reported only by the tile owning the pair's reference
-/// point (the lower-left corner of the envelope intersection), so no
-/// global dedup pass is needed. Results equal BroadcastSpatialJoin
-/// exactly.
+/// A thin wrapper over the execution core: the right side is built once
+/// (exec::RightIndexBuilder), sharded into BSP tiles balanced on its
+/// envelope centers (exec::BuildTiledRight, records spanning several tiles
+/// replicated), and probed through the one probe driver
+/// (exec::RunTiledProbes), which routes each left record to the tiles it
+/// touches and keeps a candidate only in the tile owning the pair's
+/// reference point (the lower-left corner of the envelope intersection) —
+/// before any exact geometry test, and with no global dedup pass. Results
+/// equal BroadcastSpatialJoin exactly, sorted.
 ///
 /// `num_tiles` controls parallel granularity (≈ number of reduce tasks in
 /// the HadoopGIS analogy).
@@ -28,31 +30,6 @@ std::vector<IdPair> PartitionedSpatialJoin(const std::vector<IdGeometry>& left,
                                            const SpatialPredicate& predicate,
                                            int num_tiles,
                                            Counters* counters = nullptr);
-
-/// Tuning for the adaptive (skew-aware) variant below.
-struct PartitionedJoinOptions {
-  /// Target tiles for the base BSP partitioning.
-  int num_tiles = 64;
-  /// Hot-tile detection and recursive quad-splitting (LocationSpark's
-  /// skew mitigation), steered by both sides' center samples. Emits the
-  /// `join.hot_tiles_split` counter; results are identical either way.
-  bool adaptive = false;
-  /// A tile is hot when its probe x build sample cost exceeds this
-  /// multiple of the mean tile cost.
-  double skew_factor = 2.0;
-  /// Splitting may grow the tiling to num_tiles * max_tiles_factor.
-  int max_tiles_factor = 4;
-  /// When non-null, receives per-tile join seconds (resized/zeroed to the
-  /// final tile count) — the task durations a cluster replay schedules.
-  std::vector<double>* tile_seconds = nullptr;
-};
-
-/// Options-form of PartitionedSpatialJoin: identical result set (sorted),
-/// with optional hot-tile splitting and per-tile timing capture.
-std::vector<IdPair> PartitionedSpatialJoin(
-    const std::vector<IdGeometry>& left, const std::vector<IdGeometry>& right,
-    const SpatialPredicate& predicate, const PartitionedJoinOptions& options,
-    Counters* counters = nullptr);
 
 }  // namespace cloudjoin::join
 

@@ -1,14 +1,13 @@
 #include "join/spatial_spark_system.h"
 
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include <algorithm>
-
 #include "exec/geo_parse.h"
+#include "exec/tiled_probe.h"
 #include "index/spatial_partitioner.h"
 #include "spark/spark_context.h"
 
@@ -135,8 +134,7 @@ Result<SparkJoinRun> SpatialSparkSystem::Join(
     auto* out = &part_pairs[static_cast<size_t>(p)];
     broadcast.value().ProbeRangeVisit(
         std::span<const IdGeometry>(probes.data(), probes.size()), predicate,
-        probe_options,
-        [out](int64_t, const IdPair& pair) { out->push_back(pair); },
+        probe_options, [out](const IdPair& pair) { out->push_back(pair); },
         &probe_stats);
   });
   for (auto& pairs : part_pairs) {
@@ -226,17 +224,13 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
       num_tiles, identity);
 
   // Tile-local indexed joins, one task per tile. Stages run serially, so
-  // accumulating stats and prepare time across tiles is safe.
+  // accumulating stats and prepare time across tiles is safe. Stage name
+  // carries the left path so harness-side extrapolation treats the
+  // (probe-dominated) tile joins as left-side work.
   std::vector<std::vector<IdPair>> tile_pairs(
       static_cast<size_t>(num_tiles));
   ProbeStats probe_stats;
   int64_t prepared_records = 0;
-  // Stage name carries the left path so harness-side extrapolation treats
-  // the (probe-dominated) tile joins as left-side work.
-  // Replicated pairs are suppressed tile-locally with the reference-point
-  // technique (emit only in the tile owning the lower-left corner of the
-  // envelope intersection) instead of a driver-side sort-unique, matching
-  // PartitionedSpatialJoin.
   const ProbeOptions probe_options = probe_;
   ctx.RunStage("partitionedJoin(" + left.path + ")", num_tiles,
                [&](int tile) {
@@ -244,34 +238,39 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
     right_tiled.ComputePartition(
         tile, [&](const Tagged& kv) { right_local.push_back(kv.second); });
     if (right_local.empty()) return;
-    std::unordered_map<int64_t, geom::Envelope> right_envelopes;
-    right_envelopes.reserve(right_local.size());
-    for (const IdGeometry& g : right_local) {
-      geom::Envelope env = g.geometry.envelope();
-      env.ExpandBy(radius);
-      right_envelopes.emplace(g.id, env);
-    }
-    BroadcastIndex index(std::move(right_local), radius, prepare_);
+    const BroadcastIndex index(std::move(right_local), radius, prepare_);
     run.prepare_seconds += index.prepare_seconds();
     prepared_records += index.num_prepared();
-    auto* out = &tile_pairs[static_cast<size_t>(tile)];
-    // Tile-local row batch: materialize the tile's left records, probe
-    // them through the columnar driver, and suppress replicated pairs in
-    // the emit callback (the probe's range index recovers the left
-    // envelope for the owner-tile test).
     std::vector<IdGeometry> left_local;
     left_tiled.ComputePartition(
         tile, [&](const Tagged& kv) { left_local.push_back(kv.second); });
-    index.ProbeRangeVisit(
-        std::span<const IdGeometry>(left_local.data(), left_local.size()),
-        predicate, probe_options,
-        [&](int64_t i, const IdPair& pair) {
-          const geom::Envelope left_env =
-              left_local[static_cast<size_t>(i)].geometry.envelope();
-          if (partitioner->OwnerTileOf(
-                  left_env, right_envelopes.at(pair.second)) == tile) {
-            out->push_back(pair);
+    // The shuffle already routed the probes; the driver suppresses
+    // replicated pairs by reference point (the Spark partitioner owns
+    // each pair's tile) before any exact geometry test runs.
+    const exec::BuiltRight& core = index.core();
+    const exec::JtsRefiner refiner(&core.records, &core.prepared);
+    auto* out = &tile_pairs[static_cast<size_t>(tile)];
+    exec::RunOwnedTileProbes(
+        static_cast<int64_t>(left_local.size()), core, *partitioner, tile,
+        [&](int64_t row) {
+          geom::Envelope env =
+              core.records[static_cast<size_t>(row)].geometry.envelope();
+          env.ExpandBy(radius);
+          return env;
+        },
+        probe_options,
+        [&](int64_t i) -> const geom::Envelope& {
+          return left_local[static_cast<size_t>(i)].geometry.envelope();
+        },
+        [&](int64_t i, int64_t row) {
+          const IdGeometry& probe = left_local[static_cast<size_t>(i)];
+          if (!refiner.Refine(probe.geometry, static_cast<size_t>(row),
+                              predicate, &probe_stats.refine)) {
+            return false;
           }
+          out->emplace_back(probe.id,
+                            core.records[static_cast<size_t>(row)].id);
+          return true;
         },
         &probe_stats);
   });

@@ -29,9 +29,9 @@ struct SparkJoinRun {
   double prepare_seconds = 0.0;
   int64_t broadcast_bytes = 0;
   int num_partitions = 0;
-  /// Probe-path metrics: join.candidates, join.matches, and — with
-  /// prepared refinement — join.prepared_hits / join.boundary_fallbacks /
-  /// join.prepare_micros.
+  /// Probe-path metrics: join.candidates, join.matches, join.filter_*,
+  /// join.sfilter_skipped, and — with prepared refinement —
+  /// join.prepared_hits / join.boundary_fallbacks / join.prepare_micros.
   Counters counters;
 };
 
@@ -59,8 +59,9 @@ class SpatialSparkSystem {
   /// Partitioned-join mode (real SpatialSpark's alternative to
   /// broadcasting, for right sides that do not fit worker memory): both
   /// sides are tagged with spatial tiles from a sample-driven BSP layout,
-  /// shuffled by tile, and joined tile-locally; replicated pairs are
-  /// deduplicated. Results equal Join() exactly.
+  /// shuffled by tile, and joined tile-locally; replicated candidates are
+  /// suppressed by reference point before refinement. Results equal
+  /// Join() exactly, sorted.
   Result<SparkJoinRun> PartitionedJoin(const TableInput& left,
                                        const TableInput& right,
                                        const SpatialPredicate& predicate,

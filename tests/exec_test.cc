@@ -4,12 +4,14 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "check/workload.h"
 #include "common/counters.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dfs/sim_file_system.h"
 #include "exec/broadcast_index.h"
@@ -18,6 +20,7 @@
 #include "exec/probe_scanner.h"
 #include "exec/refiner.h"
 #include "exec/right_builder.h"
+#include "exec/tiled_probe.h"
 #include "exec/tiled_right.h"
 #include "geom/wkt.h"
 
@@ -588,6 +591,146 @@ TEST(SFilterProbeTest, SkipsEmptyRegionsWithoutChangingResults) {
   Counters flushed;
   on_stats.FlushTo(&flushed);
   EXPECT_EQ(flushed.Get(counter::kSfilterSkipped), on_stats.sfilter_skipped);
+}
+
+geom::Geometry Box(double x0, double y0, double x1, double y1) {
+  return geom::Geometry::MakePolygon(
+      {{{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}, {x0, y0}}});
+}
+
+TEST(SFilterProbeTest, BroadcastIndexConsultsTheSFilter) {
+  // The flat-kernel (JTS-role) broadcast index carries the same sFilter as
+  // every build; probes outside the right side's extent must be dropped
+  // before descent, without changing a single pair.
+  std::vector<IdGeometry> right;
+  for (int i = 0; i < 16; ++i) {
+    const double x = (i % 4) * 2.0;
+    const double y = (i / 4) * 2.0;
+    right.push_back(IdGeometry{i, Box(x, y, x + 1, y + 1)});
+  }
+  std::vector<IdGeometry> probes;
+  for (int i = 0; i < 64; ++i) {
+    probes.push_back(IdGeometry{
+        100 + i, geom::Geometry::MakePoint(0.5 + (i % 8) * 13.0,
+                                           0.5 + (i / 8) * 13.0)});
+  }
+  const BroadcastIndex index(std::move(right), /*radius=*/0.0);
+  auto run = [&](bool sfilter_on) {
+    index::ProbeOptions options;
+    options.sfilter = sfilter_on;
+    std::vector<IdPair> pairs;
+    Counters counters;
+    index.ProbeBatch(std::span<const IdGeometry>(probes),
+                     SpatialPredicate::Within(), &pairs, &counters, options);
+    return std::make_pair(pairs, counters);
+  };
+  auto [on_pairs, on_counters] = run(true);
+  auto [off_pairs, off_counters] = run(false);
+  EXPECT_EQ(on_pairs, off_pairs);
+  EXPECT_FALSE(on_pairs.empty());
+  EXPECT_GT(on_counters.Get(counter::kSfilterSkipped), 0);
+  EXPECT_EQ(off_counters.Get(counter::kSfilterSkipped), 0);
+  EXPECT_EQ(on_counters.Get(counter::kCandidates),
+            off_counters.Get(counter::kCandidates));
+}
+
+TEST(TiledProbeTest, TilesMatchBroadcastAndRefineOwnedCandidatesOnly) {
+  // Right boxes large enough to straddle tile boundaries (so tiles hold
+  // replicas); left side hotspot-skewed (80% of probes in 0.25% of the
+  // extent, which the adaptive tiling splits), mixing points and small
+  // boxes so probes replicate too.
+  Rng rng(29);
+  std::vector<IdGeometry> right;
+  for (int64_t i = 0; i < 120; ++i) {
+    const double x = rng.Uniform(0, 90);
+    const double y = rng.Uniform(0, 90);
+    const double w = rng.Uniform(1, 15);
+    right.push_back(IdGeometry{i, Box(x, y, x + w, y + w)});
+  }
+  std::vector<IdGeometry> left;
+  std::vector<geom::Point> probe_sample;
+  for (int64_t i = 0; i < 600; ++i) {
+    const bool hot = i % 5 != 0;
+    const double x = hot ? rng.Uniform(40, 45) : rng.Uniform(0, 100);
+    const double y = hot ? rng.Uniform(40, 45) : rng.Uniform(0, 100);
+    left.push_back(IdGeometry{1000 + i, i % 3 == 0
+                                            ? Box(x, y, x + 0.5, y + 0.5)
+                                            : geom::Geometry::MakePoint(x, y)});
+    probe_sample.push_back(geom::Point{x, y});
+  }
+  const SpatialPredicate predicate = SpatialPredicate::NearestD(0.75);
+  RightIndexBuilder builder(predicate.FilterRadius(), PrepareOptions());
+  builder.AddGeomRecords(right);
+  const BuiltRight built = builder.Finish();
+  const JtsRefiner refiner(&built.records, &built.prepared);
+
+  // One driver run: the pairs, plus every (probe, row) the refine callback
+  // saw, sorted.
+  using Refined = std::vector<std::pair<int64_t, int64_t>>;
+  auto run = [&](const TiledRight* tiled, Refined* refined, ProbeStats* stats,
+                 std::vector<double>* tile_seconds) {
+    std::vector<IdPair> pairs;
+    RunTiledProbes(
+        static_cast<int64_t>(left.size()), built, tiled,
+        index::ProbeOptions(),
+        [&](int64_t i) -> const geom::Envelope& {
+          return left[static_cast<size_t>(i)].geometry.envelope();
+        },
+        [&](int64_t i, int64_t row) {
+          refined->emplace_back(i, row);
+          if (!refiner.Refine(left[static_cast<size_t>(i)].geometry,
+                              static_cast<size_t>(row), predicate,
+                              &stats->refine)) {
+            return false;
+          }
+          pairs.emplace_back(left[static_cast<size_t>(i)].id,
+                             built.records[static_cast<size_t>(row)].id);
+          return true;
+        },
+        stats, tile_seconds);
+    std::sort(refined->begin(), refined->end());
+    std::sort(pairs.begin(), pairs.end());
+    return pairs;
+  };
+  Refined broadcast_refined;
+  ProbeStats broadcast_stats;
+  const std::vector<IdPair> broadcast =
+      run(nullptr, &broadcast_refined, &broadcast_stats, nullptr);
+  ASSERT_FALSE(broadcast.empty());
+  EXPECT_EQ(broadcast_stats.candidates,
+            static_cast<int64_t>(broadcast_refined.size()));
+
+  int hot_splits = 0;
+  for (int tiles : {1, 4, 16}) {
+    TiledRightOptions options;
+    options.num_tiles = tiles;
+    options.adaptive = true;
+    options.probe_sample = &probe_sample;
+    Counters counters;
+    auto tiled = BuildTiledRight(built, options, &counters);
+    ASSERT_NE(tiled, nullptr);
+    hot_splits += tiled->hot_tiles_split();
+    Refined refined;
+    ProbeStats stats;
+    std::vector<double> tile_seconds(
+        static_cast<size_t>(tiled->num_tiles()), 0.0);
+    EXPECT_EQ(run(tiled.get(), &refined, &stats, &tile_seconds), broadcast)
+        << "tiles=" << tiles;
+    // Every owned candidate is refined exactly once — a replica reaching
+    // the refine callback would show up as a duplicate (probe, row).
+    EXPECT_EQ(refined, broadcast_refined) << "tiles=" << tiles;
+    EXPECT_EQ(stats.matches, broadcast_stats.matches);
+    // join.candidates counts every filter candidate, replicas included.
+    EXPECT_GE(stats.candidates, static_cast<int64_t>(refined.size()));
+    if (tiles == 16) {
+      EXPECT_GT(stats.candidates, static_cast<int64_t>(refined.size()))
+          << "the layout produced no replicas; the dedup went unexercised";
+    }
+    double total_seconds = 0.0;
+    for (double s : tile_seconds) total_seconds += s;
+    EXPECT_GT(total_seconds, 0.0);
+  }
+  EXPECT_GT(hot_splits, 0);
 }
 
 TEST(TiledRightTest, ShardsReplicateAndCoverTheBroadcastTree) {

@@ -52,11 +52,20 @@
 # src/impala/exec_node.cc. So:
 #
 #   8. Exec-node construction (make_unique<HdfsScanNode / SpatialJoinNode /
-#      PartitionedSpatialJoinNode / CrossJoinNode / ProjectNode>) may
-#      appear only in src/impala/exec_node.cc. Any other site building an
-#      exec object directly from AST or options bypasses the plan — its
-#      queries would execute something EXPLAIN and the serialized plan do
-#      not describe, breaking capture/replay.
+#      CrossJoinNode / ProjectNode>) may appear only in
+#      src/impala/exec_node.cc. Any other site building an exec object
+#      directly from AST or options bypasses the plan — its queries would
+#      execute something EXPLAIN and the serialized plan do not describe,
+#      breaking capture/replay.
+#
+# The probe side has one driver, src/exec/tiled_probe.h: broadcast is its
+# one-tile case, the partitioned strategies its many-tile case. So:
+#
+#   9. index::RunBatchedProbes (the batched filter) is called only by the
+#      driver; a second call site is a second filter-then-refine loop.
+#  10. SpatialPartitioner::OwnerTileOf (reference-point dedup) runs only in
+#      the driver, where it is applied before refinement on every
+#      partitioned path.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -106,8 +115,16 @@ check "streaming window-grid index" \
   "^src/stream/"
 
 check "direct exec-node construction (bypasses the plan contract)" \
-  "make_unique<\(HdfsScanNode\|SpatialJoinNode\|PartitionedSpatialJoinNode\|CrossJoinNode\|ProjectNode\)>" \
+  "make_unique<\(HdfsScanNode\|SpatialJoinNode\|CrossJoinNode\|ProjectNode\)>" \
   "^src/impala/exec_node\.cc"
+
+check "batched filter call (second probe loop)" \
+  "RunBatchedProbes" \
+  "^src/(index/|exec/tiled_probe\.h)"
+
+check "reference-point dedup (second tile loop)" \
+  "OwnerTileOf" \
+  "^src/(index/|exec/tiled_probe\.h)"
 
 if [ "$fail" -eq 0 ]; then
   echo "check_no_dup_scan: OK (one scan loop, one parse entry point)"
