@@ -12,9 +12,12 @@
 // Reported per (window, mode) arm: sustained events/sec over
 // IngestAll + Flush, windows fired, watermark lag at fire time (mean/max
 // over watermark-fired windows), per-window probe latency p50/p99, grid
-// cell scan/prune counts, and an order-sensitive checksum of every
-// emitted pair. The checksum must match across modes at each window
-// config, and with --check=1 (default) every window is additionally
+// cell scan/prune counts, events refined vs. carried over from an earlier
+// window's match memo, and an order-sensitive checksum of every emitted
+// pair. The incremental arms CHECK that no event is refined twice: in the
+// sliding config each event is probed by the first window gathering it
+// and reused by the rest. The checksum must match across modes at each
+// window config, and with --check=1 (default) every window is additionally
 // replayed through a one-shot batch join (exec::RunGeosProbes over the
 // borrowed window contents) and must be byte-identical — the same
 // invariant the check_differential --stream-seeds harness sweeps.
@@ -72,6 +75,8 @@ struct ArmResult {
   int64_t lag_windows = 0;
   int64_t cells_scanned = 0;
   int64_t cells_pruned = 0;
+  int64_t probed_events = 0;
+  int64_t reused_events = 0;
   int64_t oracle_mismatches = 0;
   /// Time spent inside the per-window batch-oracle replay; subtracted
   /// from the wall so --check=1 doesn't dilute the mode comparison.
@@ -156,6 +161,8 @@ ArmResult RunArm(server::QueryService* service, dfs::SimFileSystem* fs,
         }
         arm.cells_scanned += result.cells_scanned;
         arm.cells_pruned += result.cells_pruned;
+        arm.probed_events += result.probed_events;
+        arm.reused_events += result.reused_events;
         if (oracle_right != nullptr) {
           Stopwatch oracle_clock;
           arm.oracle_mismatches +=
@@ -171,6 +178,16 @@ ArmResult RunArm(server::QueryService* service, dfs::SimFileSystem* fs,
   registry.Flush();
   arm.wall_seconds = wall.ElapsedSeconds();
   arm.stream_stats = registry.GetStats();
+  if (config.incremental) {
+    // Match reuse: with one right side for the whole run, an event's
+    // first probe is its only one.
+    const Counters& counters = arm.stream_stats.counters;
+    const int64_t parseable = counters.Get("stream.events_accepted") -
+                              counters.Get("stream.bad_geom");
+    CLOUDJOIN_CHECK(arm.probed_events <= parseable)
+        << WindowName(config.window) << ": " << arm.probed_events
+        << " probes for " << parseable << " parseable events";
+  }
   // Interval (not lifetime) service stats: the cache traffic THIS arm
   // generated, isolated from earlier arms sharing the service.
   arm.interval = service->TakeIntervalStats();
@@ -201,6 +218,9 @@ void PrintArm(const ArmConfig& config, const ArmResult& arm, bool check) {
               static_cast<long long>(counters.Get("stream.grid_rebuilds")),
               static_cast<long long>(arm.interval.cache.hits),
               static_cast<long long>(arm.interval.cache.misses));
+  std::printf("    events probed %lld  reused %lld\n",
+              static_cast<long long>(arm.probed_events),
+              static_cast<long long>(arm.reused_events));
   std::printf("    checksum %016llx%s\n",
               static_cast<unsigned long long>(arm.checksum),
               check ? (arm.oracle_mismatches == 0

@@ -130,10 +130,10 @@ void RunTiledProbes(int64_t count, const BuiltRight& right,
   // broadcast descent.
   std::vector<std::vector<int64_t>> tile_probes(
       static_cast<size_t>(num_tiles));
+  std::vector<int> tiles;
   for (int64_t i : probes) {
-    for (int t : partitioner.TilesFor(envelope_at(i))) {
-      tile_probes[static_cast<size_t>(t)].push_back(i);
-    }
+    partitioner.TilesFor(envelope_at(i), &tiles);
+    for (int t : tiles) tile_probes[static_cast<size_t>(t)].push_back(i);
   }
   for (int t = 0; t < num_tiles; ++t) {
     const std::vector<int64_t>& probes_t = tile_probes[static_cast<size_t>(t)];

@@ -58,8 +58,10 @@ std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
   // expanded envelope for reference-point dedup.
   const index::SpatialPartitioner& partitioner = *tiled->partitioner_;
   tiled->tiles_.resize(partitioner.tiles().size());
+  std::vector<int> tiles;
   for (const index::StrTree::Entry& e : entries) {
-    for (int t : partitioner.TilesFor(e.envelope)) {
+    partitioner.TilesFor(e.envelope, &tiles);
+    for (int t : tiles) {
       tiled->tiles_[static_cast<size_t>(t)].slots.push_back(
           TiledRight::Slot{e.envelope, e.id});
     }

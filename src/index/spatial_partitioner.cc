@@ -87,18 +87,6 @@ SpatialPartitioner::SpatialPartitioner(const geom::Envelope& extent,
 
 int SpatialPartitioner::SplitHotTiles(
     const std::vector<geom::Point>& probe_sample,
-    const std::vector<geom::Point>& build_sample, double skew_factor,
-    int max_tiles) {
-  std::vector<geom::Envelope> build_envelopes;
-  build_envelopes.reserve(build_sample.size());
-  for (const geom::Point& p : build_sample) {
-    build_envelopes.emplace_back(p.x, p.y, p.x, p.y);
-  }
-  return SplitHotTiles(probe_sample, build_envelopes, skew_factor, max_tiles);
-}
-
-int SpatialPartitioner::SplitHotTiles(
-    const std::vector<geom::Point>& probe_sample,
     const std::vector<geom::Envelope>& build_envelopes, double skew_factor,
     int max_tiles) {
   CLOUDJOIN_CHECK(skew_factor > 0.0);
@@ -259,13 +247,12 @@ int SpatialPartitioner::OwnerTileOf(const geom::Envelope& a,
   return TileOf(reference);
 }
 
-std::vector<int> SpatialPartitioner::TilesFor(
-    const geom::Envelope& envelope) const {
-  std::vector<int> out;
+void SpatialPartitioner::TilesFor(const geom::Envelope& envelope,
+                                  std::vector<int>* out) const {
+  out->clear();
   for (size_t i = 0; i < tiles_.size(); ++i) {
-    if (tiles_[i].Intersects(envelope)) out.push_back(static_cast<int>(i));
+    if (tiles_[i].Intersects(envelope)) out->push_back(static_cast<int>(i));
   }
-  return out;
 }
 
 }  // namespace cloudjoin::index

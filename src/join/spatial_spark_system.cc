@@ -203,15 +203,16 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
   // Tag each record with every tile it touches (replication), then
   // shuffle by tile (identity partitioner: tile i -> partition i).
   using Tagged = std::pair<int, IdGeometry>;
+  // Stages run serially, so each tagger reuses one tile buffer.
   auto tag = [partitioner](double expand) {
-    return [partitioner, expand](
+    auto tiles = std::make_shared<std::vector<int>>();
+    return [partitioner, expand, tiles](
                const IdGeometry& g,
                const std::function<void(const Tagged&)>& emit) {
       geom::Envelope env = g.geometry.envelope();
       env.ExpandBy(expand);
-      for (int tile : partitioner->TilesFor(env)) {
-        emit(Tagged(tile, g));
-      }
+      partitioner->TilesFor(env, tiles.get());
+      for (int tile : *tiles) emit(Tagged(tile, g));
     };
   };
   std::function<int(const int&)> identity = [](const int& tile) {

@@ -166,18 +166,23 @@ void ContinuousQueryRegistry::Flush() {
   }
 }
 
-Result<std::shared_ptr<const exec::BuiltRight>>
-ContinuousQueryRegistry::ResolveRight(const Query& query, bool* cache_hit) {
+std::string ContinuousQueryRegistry::RightKey(const Query& query) const {
   // The catalog generation fences replaced tables out of the cache: a
   // re-registered right side changes the key, so stale entries are
   // unreachable even if an in-flight build inserts after InvalidateTable.
   const int64_t generation =
       service_->system()->runtime()->catalog()->TableGeneration(
           query.right_table);
-  const std::string key =
-      "stream|" + query.right_table + "|gen=" + std::to_string(generation) +
-      "|geom=" + std::to_string(query.right_input.geometry_column) + "|" +
-      query.predicate.ToString() + "|" + query.options.prepare.Fingerprint();
+  return "stream|" + query.right_table + "|gen=" + std::to_string(generation) +
+         "|geom=" + std::to_string(query.right_input.geometry_column) + "|" +
+         query.predicate.ToString() + "|" +
+         query.options.prepare.Fingerprint();
+}
+
+Result<std::shared_ptr<const exec::BuiltRight>>
+ContinuousQueryRegistry::ResolveRight(const Query& query,
+                                      const std::string& key,
+                                      bool* cache_hit) {
   return resolver_.GetOrBuild(
       key, query.right_table,
       [&]() -> Result<std::shared_ptr<const exec::BuiltRight>> {
@@ -211,8 +216,9 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
 
   Stopwatch watch;
   bool cache_hit = false;
+  const std::string key = RightKey(query);
   Result<std::shared_ptr<const exec::BuiltRight>> right =
-      ResolveRight(query, &cache_hit);
+      ResolveRight(query, key, &cache_hit);
   if (!right.ok()) {
     result.status = right.status();
   } else {
@@ -220,10 +226,16 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
     counters_.Add(cache_hit ? counter::kRightCacheHits
                             : counter::kRightCacheMisses,
                   1);
+    // Memos are valid exactly while the key is: the same contract the
+    // cache relies on to serve one build for every window.
+    if (key != query.right_key) {
+      query.right_key = key;
+      ++query.right_epoch;
+    }
     const exec::BuiltRight& built = *right.value();
     const geom::Envelope& region = built.tree->bounds();
 
-    std::vector<const WindowGrid::EventRef*> refs;
+    std::vector<WindowGrid::EventRef*> refs;
     WindowGrid::GatherStats gather_stats;
     // Rebuild-per-window baseline scratch; lives until after the probe.
     WindowGrid rebuilt(query.options.grid);
@@ -250,27 +262,52 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
       }
       rebuilt.Gather(0, 0, region, &refs, &gather_stats);
     }
-    result.probed_events = static_cast<int64_t>(refs.size());
     result.cells_scanned = gather_stats.cells_scanned;
     result.cells_pruned = gather_stats.cells_pruned;
     counters_.Add(counter::kCellsScanned, gather_stats.cells_scanned);
     counters_.Add(counter::kCellsPruned, gather_stats.cells_pruned);
     counters_.Add(counter::kEventsPruned, gather_stats.events_pruned);
 
+    // Probe only the events without a current memo (new arrivals, late
+    // events, or everything after the right side changed). The driver
+    // hands candidates over left-major and GeosRefiner is stateless per
+    // pair, so each event's own match list is exactly its slice of a
+    // one-shot probe over the whole window.
+    std::vector<WindowGrid::EventRef*> stale;
+    for (WindowGrid::EventRef* ref : refs) {
+      if (ref->right_epoch == query.right_epoch) continue;
+      ref->matches.clear();
+      ref->right_epoch = query.right_epoch;
+      stale.push_back(ref);
+    }
+    result.probed_events = static_cast<int64_t>(stale.size());
+    result.reused_events = static_cast<int64_t>(refs.size() - stale.size());
+    counters_.Add(counter::kEventsProbed, result.probed_events);
+    counters_.Add(counter::kEventsReused, result.reused_events);
+
     exec::ProbeStats probe_stats;
     exec::RunGeosProbes(
-        static_cast<int64_t>(refs.size()),
+        static_cast<int64_t>(stale.size()),
         [&](int64_t i) -> const geosim::Geometry& {
-          return *refs[static_cast<size_t>(i)]->geom;
+          return *stale[static_cast<size_t>(i)]->geom;
         },
         [&](int64_t i) -> const std::string& {
-          return refs[static_cast<size_t>(i)]->event->wkt;
+          return stale[static_cast<size_t>(i)]->event->wkt;
         },
-        [&](int64_t i) { return refs[static_cast<size_t>(i)]->id; }, built,
-        query.predicate, query.options.probe,
-        [&](exec::IdPair pair) { result.pairs.push_back(pair); },
+        [](int64_t i) { return i; }, built, query.predicate,
+        query.options.probe,
+        [&](exec::IdPair pair) {
+          stale[static_cast<size_t>(pair.first)]->matches.push_back(
+              pair.second);
+        },
         &probe_stats);
     probe_stats.FlushTo(&counters_);
+
+    for (const WindowGrid::EventRef* ref : refs) {
+      for (int64_t right_id : ref->matches) {
+        result.pairs.emplace_back(ref->id, right_id);
+      }
+    }
     counters_.Add(counter::kPairsEmitted,
                   static_cast<int64_t>(result.pairs.size()));
   }
@@ -313,6 +350,8 @@ std::string StreamStats::ToString() const {
   os << "grid: cells_scanned=" << counters.Get(counter::kCellsScanned)
      << " cells_pruned=" << counters.Get(counter::kCellsPruned)
      << " events_pruned=" << counters.Get(counter::kEventsPruned) << "\n";
+  os << "memo: events_probed=" << counters.Get(counter::kEventsProbed)
+     << " events_reused=" << counters.Get(counter::kEventsReused) << "\n";
   os << "right: cache_hits=" << counters.Get(counter::kRightCacheHits)
      << " cache_misses=" << counters.Get(counter::kRightCacheMisses)
      << " pairs=" << counters.Get(counter::kPairsEmitted) << "\n";

@@ -59,9 +59,13 @@ struct WindowResult {
   std::vector<exec::IdPair> pairs;
 
   int64_t window_events = 0;
-  /// Events that entered the filter phase (window_events minus cell-level
-  /// pruning and bad geometries).
+  /// Events refined in this firing: gathered events (window_events minus
+  /// cell-level pruning and bad geometries) whose match list was not yet
+  /// computed against the current right side.
   int64_t probed_events = 0;
+  /// Gathered events whose match list was carried over from an earlier
+  /// window (sliding windows share panes); emitted without a probe.
+  int64_t reused_events = 0;
   int64_t cells_scanned = 0;
   int64_t cells_pruned = 0;
   bool right_cache_hit = false;
@@ -123,8 +127,11 @@ class CachedRightResolver {
 /// once, reused across windows and queries — the broadcast side of the
 /// paper's join, amortized over the stream), gathers the window contents
 /// from the grid (pruned against the right side's filter region), runs
-/// the shared exec::RunGeosProbes driver, and pushes a WindowResult to
-/// the subscriber.
+/// the shared exec::RunGeosProbes driver over the events whose memoized
+/// match list is missing or stale, and pushes the seq-ordered
+/// concatenation of every gathered event's matches to the subscriber. An
+/// event in P overlapping sliding windows is thus refined once, not P
+/// times (DESIGN.md §9, match reuse across panes).
 ///
 /// Thread-safety: Register/Ingest/Flush/GetStats serialize on one mutex;
 /// subscribers run under it (keep them cheap). Replacing a table on the
@@ -172,14 +179,20 @@ class ContinuousQueryRegistry {
     WindowGrid grid;
     Subscriber subscriber;
     LatencyHistogram probe_latency;
+    /// The generation-fenced key of the right side the grid's memos were
+    /// computed against, and its epoch: bumped whenever the key changes,
+    /// so every older memo turns stale at once.
+    std::string right_key;
+    int64_t right_epoch = 0;
 
     Query(const WindowSpec& window, const WindowGridOptions& grid_options)
         : manager(window), grid(grid_options) {}
   };
 
   void OnClosedWindow(Query& query, const ClosedWindow& closed);
+  std::string RightKey(const Query& query) const;
   Result<std::shared_ptr<const exec::BuiltRight>> ResolveRight(
-      const Query& query, bool* cache_hit);
+      const Query& query, const std::string& key, bool* cache_hit);
 
   server::QueryService* service_;
   dfs::SimFileSystem* fs_;

@@ -31,6 +31,15 @@ inline constexpr char kCellsScanned[] = "stream.cells_scanned";
 inline constexpr char kCellsPruned[] = "stream.cells_pruned";
 /// Events inside pruned cells (the probe work avoided).
 inline constexpr char kEventsPruned[] = "stream.events_pruned";
+/// Gathered events refined in their firing: their match list was missing
+/// (new or late arrival, rebuilt grid) or computed against an older right
+/// side. With the incremental index and an unchanged right side, each
+/// gathered event counts here exactly once.
+inline constexpr char kEventsProbed[] = "stream.events_probed";
+/// Gathered events whose match list was carried over from an earlier
+/// window instead of being probed again (sliding windows share panes;
+/// always 0 for tumbling windows and for the rebuild baseline).
+inline constexpr char kEventsReused[] = "stream.events_reused";
 /// Windows whose grid was rebuilt from scratch (the ablation baseline;
 /// always 0 with the incremental index).
 inline constexpr char kGridRebuilds[] = "stream.grid_rebuilds";

@@ -56,11 +56,10 @@ int64_t WindowGrid::ExpirePane(int64_t pane) {
 
 void WindowGrid::Gather(int64_t first_pane, int64_t last_pane,
                         const geom::Envelope& region,
-                        std::vector<const EventRef*>* out,
-                        GatherStats* stats) const {
+                        std::vector<EventRef*>* out, GatherStats* stats) {
   for (auto it = panes_.lower_bound(first_pane);
        it != panes_.end() && it->first <= last_pane; ++it) {
-    for (const Cell& cell : it->second.cells) {
+    for (Cell& cell : it->second.cells) {
       if (cell.events.empty()) continue;
       ++stats->cells_scanned;
       if (!cell.bounds.Intersects(region)) {
@@ -70,7 +69,7 @@ void WindowGrid::Gather(int64_t first_pane, int64_t last_pane,
         stats->events_pruned += static_cast<int64_t>(cell.events.size());
         continue;
       }
-      for (const EventRef& ref : cell.events) out->push_back(&ref);
+      for (EventRef& ref : cell.events) out->push_back(&ref);
     }
   }
   std::sort(out->begin(), out->end(),

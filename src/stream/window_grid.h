@@ -42,14 +42,20 @@ struct WindowGridOptions {
 /// (tools/check_no_dup_scan.sh).
 class WindowGrid {
  public:
-  /// One indexed event: identity plus the arrival-parsed geometry. `event`
-  /// points into the WindowManager's pane storage and shares its lifetime
-  /// (both expire on the same pane boundary).
+  /// One indexed event: identity, the arrival-parsed geometry and the
+  /// event's memoized join result. `event` points into the WindowManager's
+  /// pane storage and shares its lifetime (both expire on the same pane
+  /// boundary), and so does the memo.
   struct EventRef {
     int64_t seq = 0;
     int64_t id = 0;
     const StreamEvent* event = nullptr;
     std::unique_ptr<geosim::Geometry> geom;
+    /// Right ids this event matched, in probe emit order — valid only
+    /// while `right_epoch` equals the owning query's right-side epoch.
+    /// Epochs start at 1, so a fresh ref (0) is always unprobed.
+    std::vector<int64_t> matches;
+    int64_t right_epoch = 0;
   };
 
   struct GatherStats {
@@ -73,10 +79,11 @@ class WindowGrid {
   /// Collects the refs of panes [first_pane, last_pane] whose cell
   /// contents can intersect `region`, appending to `out` and restoring
   /// global arrival order (sort by seq). An empty `region` gathers
-  /// nothing — the right side is empty, so no probe can match.
+  /// nothing — the right side is empty, so no probe can match. The refs
+  /// are mutable so the caller can refresh their memos.
   void Gather(int64_t first_pane, int64_t last_pane,
-              const geom::Envelope& region,
-              std::vector<const EventRef*>* out, GatherStats* stats) const;
+              const geom::Envelope& region, std::vector<EventRef*>* out,
+              GatherStats* stats);
 
   int64_t live_events() const { return live_events_; }
   int64_t live_panes() const { return static_cast<int64_t>(panes_.size()); }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "geom/algorithms.h"
 #include "geom/envelope.h"
 #include "geom/geometry.h"
 
@@ -123,49 +122,6 @@ TEST(GeometryTest, Equality) {
   Geometry c = Geometry::MakePoint(1, 3);
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
-}
-
-TEST(AlgorithmsTest, SignedRingArea) {
-  // CCW unit square.
-  std::vector<Point> ccw = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
-  EXPECT_DOUBLE_EQ(SignedRingArea(ccw), 1.0);
-  EXPECT_TRUE(IsCcw(ccw));
-  std::vector<Point> cw = {{0, 0}, {0, 1}, {1, 1}, {1, 0}};
-  EXPECT_DOUBLE_EQ(SignedRingArea(cw), -1.0);
-  EXPECT_FALSE(IsCcw(cw));
-}
-
-TEST(AlgorithmsTest, AreaWithHole) {
-  Geometry poly = Geometry::MakePolygon(
-      {{{0, 0}, {10, 0}, {10, 10}, {0, 10}},
-       {{2, 2}, {4, 2}, {4, 4}, {2, 4}}});
-  EXPECT_DOUBLE_EQ(Area(poly), 100.0 - 4.0);
-}
-
-TEST(AlgorithmsTest, AreaOfMultiPolygon) {
-  Geometry mp = Geometry::MakeMultiPolygon(
-      {{{{0, 0}, {2, 0}, {2, 2}, {0, 2}}}, {{{5, 5}, {8, 5}, {8, 8}, {5, 8}}}});
-  EXPECT_DOUBLE_EQ(Area(mp), 4.0 + 9.0);
-}
-
-TEST(AlgorithmsTest, AreaOfNonPolygonIsZero) {
-  EXPECT_EQ(Area(Geometry::MakePoint(1, 1)), 0.0);
-  EXPECT_EQ(Area(Geometry::MakeLineString({{0, 0}, {5, 0}})), 0.0);
-}
-
-TEST(AlgorithmsTest, Length) {
-  Geometry l = Geometry::MakeLineString({{0, 0}, {3, 4}, {3, 10}});
-  EXPECT_DOUBLE_EQ(Length(l), 5.0 + 6.0);
-  // Polygon perimeter includes the closing edge.
-  Geometry sq = Geometry::MakePolygon({{{0, 0}, {1, 0}, {1, 1}, {0, 1}}});
-  EXPECT_DOUBLE_EQ(Length(sq), 4.0);
-}
-
-TEST(AlgorithmsTest, Centroid) {
-  Geometry l = Geometry::MakeLineString({{0, 0}, {2, 0}, {2, 2}, {0, 2}});
-  Point c = Centroid(l);
-  EXPECT_DOUBLE_EQ(c.x, 1.0);
-  EXPECT_DOUBLE_EQ(c.y, 1.0);
 }
 
 }  // namespace

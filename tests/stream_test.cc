@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
@@ -10,6 +12,8 @@
 
 #include "dfs/sim_file_system.h"
 #include "exec/geo_parse.h"
+#include "exec/probe_scanner.h"
+#include "exec/right_builder.h"
 #include "exec/table_input.h"
 #include "geom/envelope.h"
 #include "join/isp_mc_system.h"
@@ -263,9 +267,9 @@ class WindowGridTest : public ::testing::Test {
   }
 
   static std::vector<int64_t> GatherSeqs(
-      const WindowGrid& grid, int64_t first_pane, int64_t last_pane,
+      WindowGrid& grid, int64_t first_pane, int64_t last_pane,
       const geom::Envelope& region, WindowGrid::GatherStats* stats) {
-    std::vector<const WindowGrid::EventRef*> refs;
+    std::vector<WindowGrid::EventRef*> refs;
     WindowGrid::GatherStats local;
     grid.Gather(first_pane, last_pane, region, &refs,
                 stats != nullptr ? stats : &local);
@@ -510,6 +514,43 @@ class RegistryTest : public ::testing::Test {
     return options;
   }
 
+  /// 20 ms windows sliding by 5 ms: every event lies in 4 windows.
+  StreamQueryOptions FourPaneOptions() {
+    StreamQueryOptions options = TumblingOptions(20);
+    options.window.slide_ms = 5;
+    return options;
+  }
+
+  /// The pairs a one-shot batch join of `events` against the table at
+  /// `path` emits — the oracle a window's output must equal byte for byte.
+  std::vector<IdPair> OneShotPairs(
+      const std::vector<const StreamEvent*>& events, const std::string& path) {
+    auto file = fs_.GetFile(path);
+    CLOUDJOIN_CHECK(file.ok());
+    exec::TableInput input;
+    input.path = path;
+    const exec::SpatialPredicate predicate = exec::SpatialPredicate::Within();
+    Counters counters;
+    auto right = exec::BuildRightFromTable(**file, input,
+                                           predicate.FilterRadius(),
+                                           exec::PrepareOptions(), &counters);
+    CLOUDJOIN_CHECK(right.ok());
+    exec::GeosProbeBatch batch;
+    for (const StreamEvent* event : events) {
+      auto parsed = exec::ParseGeosWkt(event->wkt);
+      if (!parsed.ok()) continue;
+      batch.ids.push_back(event->id);
+      batch.wkt.push_back(event->wkt);
+      batch.geoms.push_back(std::move(parsed).value());
+    }
+    std::vector<IdPair> pairs;
+    exec::ProbeStats stats;
+    exec::RunGeosProbes(
+        batch, *right, predicate, index::ProbeOptions(),
+        [&](IdPair pair) { pairs.push_back(pair); }, &stats);
+    return pairs;
+  }
+
   dfs::SimFileSystem fs_;
   std::unique_ptr<server::QueryService> service_;
 };
@@ -574,6 +615,170 @@ TEST_F(RegistryTest, IncrementalAndRebuildModesAgree) {
   EXPECT_EQ(pairs[0], pairs[1]);
   EXPECT_EQ(registry.GetStats().counters.Get(counter::kGridRebuilds),
             static_cast<int64_t>(pairs[1].size()));
+}
+
+TEST_F(RegistryTest, SlidingWindowsProbeEachEventOnce) {
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  struct Fired {
+    std::vector<IdPair> pairs;
+    int64_t probed = 0;
+    int64_t reused = 0;
+  };
+  std::vector<Fired> fired[2];
+  for (int arm = 0; arm < 2; ++arm) {
+    StreamQueryOptions options = FourPaneOptions();
+    options.incremental_index = arm == 0;
+    auto id = registry.Register(WithinSql(), options,
+                                [&fired, arm](const WindowResult& result) {
+                                  ASSERT_TRUE(result.status.ok());
+                                  fired[arm].push_back({result.pairs,
+                                                        result.probed_events,
+                                                        result.reused_events});
+                                });
+    ASSERT_TRUE(id.ok()) << id.status();
+  }
+
+  // 40 in-order events over 80 ms: a third in square 1, a third in
+  // square 2, the rest in neither, every seventh unparseable. All lie in
+  // the right side's bounds, so no grid cell is pruned.
+  int64_t parseable = 0;
+  for (int64_t i = 0; i < 40; ++i) {
+    std::string wkt;
+    if (i % 7 == 3) {
+      wkt = "POINT (banana)";
+    } else {
+      ++parseable;
+      const double offset = 0.5 + static_cast<double>(i % 9);
+      char buf[64];
+      switch (i % 3) {
+        case 0:
+          std::snprintf(buf, sizeof(buf), "POINT (%g 5)", offset);
+          break;
+        case 1:
+          std::snprintf(buf, sizeof(buf), "POINT (25 %g)", 20.0 + offset);
+          break;
+        default:
+          std::snprintf(buf, sizeof(buf), "POINT (15 %g)", offset);
+          break;
+      }
+      wkt = buf;
+    }
+    registry.Ingest(Event(100 + i, 2 * i + 1, wkt));
+  }
+  registry.Flush();
+
+  ASSERT_EQ(fired[0].size(), fired[1].size());
+  ASSERT_GT(fired[0].size(), 4u);
+  int64_t probed[2] = {0, 0};
+  int64_t reused[2] = {0, 0};
+  for (size_t w = 0; w < fired[0].size(); ++w) {
+    EXPECT_EQ(fired[0][w].pairs, fired[1][w].pairs) << "window " << w;
+    for (int arm = 0; arm < 2; ++arm) {
+      probed[arm] += fired[arm][w].probed;
+      reused[arm] += fired[arm][w].reused;
+    }
+  }
+  // Incremental: each parseable event is refined by the first window
+  // containing it and reused by its other three.
+  EXPECT_EQ(probed[0], parseable);
+  EXPECT_EQ(reused[0], 3 * parseable);
+  // Rebuild baseline: fresh refs every window, so all four windows probe.
+  EXPECT_EQ(probed[1], 4 * parseable);
+  EXPECT_EQ(reused[1], 0);
+
+  const StreamStats stats = registry.GetStats();
+  EXPECT_EQ(stats.counters.Get(counter::kEventsProbed), 5 * parseable);
+  EXPECT_EQ(stats.counters.Get(counter::kEventsReused), 3 * parseable);
+  EXPECT_NE(stats.ToString().find("events_reused=" +
+                                  std::to_string(3 * parseable)),
+            std::string::npos);
+}
+
+TEST_F(RegistryTest, LateEventIsProbedByTheNextFiring) {
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  std::vector<WindowResult> results;
+  StreamQueryOptions options = FourPaneOptions();
+  options.window.allowed_lateness_ms = 10;
+  auto id = registry.Register(WithinSql(), options,
+                              [&](const WindowResult& result) {
+                                ASSERT_TRUE(result.status.ok());
+                                results.push_back(result);
+                              });
+  ASSERT_TRUE(id.ok()) << id.status();
+  auto window = [&](int64_t index) -> const WindowResult* {
+    for (const WindowResult& result : results) {
+      if (result.window_index == index) return &result;
+    }
+    return nullptr;
+  };
+
+  registry.Ingest(Event(100, 1, "POINT (5 5)"));    // pane 0
+  registry.Ingest(Event(101, 16, "POINT (25 25)"));  // pane 3
+  registry.Ingest(Event(102, 31, "POINT (6 6)"));    // fires windows <= 0
+  const WindowResult* w0 = window(0);
+  ASSERT_NE(w0, nullptr);  // [0,20): panes 0-3, pane 3 already probed
+  EXPECT_EQ(w0->pairs, (std::vector<IdPair>{{100, 1}, {101, 2}}));
+  ASSERT_EQ(window(1), nullptr);
+
+  // Late into pane 3, whose windows 1-3 have not fired yet.
+  registry.Ingest(Event(103, 17, "POINT (2 2)"));
+  EXPECT_EQ(registry.GetStats().counters.Get(counter::kLateDropped), 0);
+  registry.Ingest(Event(104, 36, "POINT (7 7)"));  // fires window 1
+  const WindowResult* w1 = window(1);
+  ASSERT_NE(w1, nullptr);  // [5,25): panes 1-4 hold events 101 and 103
+  EXPECT_EQ(w1->probed_events, 1);  // only the late arrival
+  EXPECT_EQ(w1->reused_events, 1);
+  EXPECT_EQ(w1->pairs, (std::vector<IdPair>{{101, 2}, {103, 1}}));
+  registry.Flush();
+
+  // Every later window containing pane 3 carries the late event's match,
+  // reused rather than probed again.
+  for (int64_t index : {2, 3}) {
+    const WindowResult* w = window(index);
+    ASSERT_NE(w, nullptr);
+    EXPECT_NE(std::find(w->pairs.begin(), w->pairs.end(), IdPair{103, 1}),
+              w->pairs.end())
+        << "window " << index;
+  }
+  EXPECT_EQ(registry.GetStats().counters.Get(counter::kEventsProbed), 5);
+}
+
+TEST_F(RegistryTest, ReplacedRightSideReprobesTheWholeWindow) {
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  bool replaced = false;
+  int checked = 0;
+  auto id = registry.Register(
+      WithinSql(), FourPaneOptions(), [&](const WindowResult& result) {
+        ASSERT_TRUE(result.status.ok());
+        if (!replaced) return;
+        if (checked++ == 0) {
+          // The first firing after the swap refines all its events.
+          EXPECT_EQ(result.probed_events, result.window_events);
+          EXPECT_EQ(result.reused_events, 0);
+          EXPECT_GT(result.window_events, 1);
+        }
+        EXPECT_EQ(result.pairs, OneShotPairs(*result.events, "/t/right.tbl"))
+            << "window " << result.window_index;
+      });
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  registry.Ingest(Event(100, 1, "POINT (5 5)"));
+  registry.Ingest(Event(101, 8, "POINT (25 25)"));
+  registry.Ingest(Event(102, 14, "POINT (15 15)"));
+  registry.Ingest(Event(103, 22, "POINT (2 2)"));  // fires [.., 20)
+  // Replace the right table in place with one polygon covering every
+  // event, so each memo computed against the old contents is now wrong.
+  ASSERT_TRUE(fs_.WriteTextFile("/t/right.tbl",
+                                {"7\tPOLYGON ((0 0, 30 0, 30 30, 0 30, 0 0))"})
+                  .ok());
+  join::TableInput right;
+  right.path = "/t/right.tbl";
+  ASSERT_TRUE(service_->RegisterTable("rt", right).ok());
+  replaced = true;
+  registry.Ingest(Event(104, 27, "POINT (21 29)"));
+  registry.Ingest(Event(105, 40, "POINT (9 9)"));
+  registry.Flush();
+  EXPECT_GT(checked, 3);
 }
 
 TEST_F(RegistryTest, BadGeometryEventsAreDroppedNotFatal) {
