@@ -13,10 +13,13 @@
 // IngestAll + Flush, windows fired, watermark lag at fire time (mean/max
 // over watermark-fired windows), per-window probe latency p50/p99, grid
 // cell scan/prune counts, events refined vs. carried over from an earlier
-// window's match memo, and an order-sensitive checksum of every emitted
+// window's match memo, pairs refined by re-parsing WKT
+// (join.refine_reparsed), and an order-sensitive checksum of every emitted
 // pair. The incremental arms CHECK that no event is refined twice: in the
 // sliding config each event is probed by the first window gathering it
-// and reused by the rest. The checksum must match across modes at each
+// and reused by the rest. Both arms CHECK that no pair re-parses WKT: the
+// cached right side keeps its parses and events are parsed on arrival (or
+// at the rebuild), so refinement runs on parsed geometries. The checksum must match across modes at each
 // window config, and with --check=1 (default) every window is additionally
 // replayed through a one-shot batch join (exec::RunGeosProbes over the
 // borrowed window contents) and must be byte-identical — the same
@@ -44,6 +47,7 @@
 #include "data/generators.h"
 #include "data/workloads.h"
 #include "dfs/sim_file_system.h"
+#include "exec/counter_names.h"
 #include "exec/geo_parse.h"
 #include "exec/probe_scanner.h"
 #include "exec/right_builder.h"
@@ -178,6 +182,11 @@ ArmResult RunArm(server::QueryService* service, dfs::SimFileSystem* fs,
   registry.Flush();
   arm.wall_seconds = wall.ElapsedSeconds();
   arm.stream_stats = registry.GetStats();
+  const int64_t reparsed =
+      arm.stream_stats.counters.Get(exec::counter::kRefineReparsed);
+  CLOUDJOIN_CHECK(reparsed == 0)
+      << WindowName(config.window) << ": " << reparsed
+      << " pairs re-parsed WKT";
   if (config.incremental) {
     // Match reuse: with one right side for the whole run, an event's
     // first probe is its only one.
@@ -218,9 +227,11 @@ void PrintArm(const ArmConfig& config, const ArmResult& arm, bool check) {
               static_cast<long long>(counters.Get("stream.grid_rebuilds")),
               static_cast<long long>(arm.interval.cache.hits),
               static_cast<long long>(arm.interval.cache.misses));
-  std::printf("    events probed %lld  reused %lld\n",
+  std::printf("    events probed %lld  reused %lld  refine_reparsed %lld\n",
               static_cast<long long>(arm.probed_events),
-              static_cast<long long>(arm.reused_events));
+              static_cast<long long>(arm.reused_events),
+              static_cast<long long>(
+                  counters.Get(exec::counter::kRefineReparsed)));
   std::printf("    checksum %016llx%s\n",
               static_cast<unsigned long long>(arm.checksum),
               check ? (arm.oracle_mismatches == 0

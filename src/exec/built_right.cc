@@ -14,6 +14,10 @@ int64_t BuiltRight::MemoryBytes() const {
   for (const std::string& s : wkt) {
     total += static_cast<int64_t>(sizeof(std::string) + s.capacity());
   }
+  for (const auto& g : parsed) {
+    // Heap coordinate sequence plus virtual-object overhead.
+    total += 64 + static_cast<int64_t>(g->getNumPoints()) * 24;
+  }
   for (const auto& p : prepared) {
     if (p != nullptr) total += p->MemoryBytes();
   }

@@ -8,6 +8,7 @@
 
 #include "exec/id_geometry.h"
 #include "geom/prepared.h"
+#include "geosim/geometry.h"
 #include "index/packed_str_tree.h"
 #include "index/sfilter.h"
 #include "index/str_tree.h"
@@ -22,17 +23,24 @@ namespace cloudjoin::exec {
 /// Two record flavours share the struct (each engine fills exactly one):
 ///  - *geom kernel* (SpatialSpark, in-memory broadcast): `records` holds
 ///    parsed flat geometries; `ids`/`wkt` stay empty.
-///  - *GEOS kernel* (ISP-MC, standalone): `ids` + `wkt` hold the text
-///    records for per-pair re-parse refinement; `records` stays empty.
+///  - *GEOS kernel* (ISP-MC, standalone, streaming): `ids` + `wkt` hold
+///    the text records for per-pair re-parse refinement; `records` stays
+///    empty. A build that keeps its parses fills `parsed` instead of
+///    `wkt`, and refinement reads those with no re-parse.
 ///
-/// Engine-specific retentions (Impala rows, parsed-geometry ablation
-/// caches) live in subclasses; this core owns the index and the grids.
+/// Engine-specific retentions (Impala rows) live in subclasses; this core
+/// owns the index, the grids and the kept parses.
 struct BuiltRight {
   /// Geom-kernel flavour: parsed (id, geometry) records, slot-ordered.
   std::vector<IdGeometry> records;
-  /// GEOS-kernel flavour: record ids and retained WKT text, slot-ordered.
+  /// GEOS-kernel flavour: record ids and retained WKT text, slot-ordered;
+  /// `wkt` stays empty when `parsed` is filled.
   std::vector<int64_t> ids;
   std::vector<std::string> wkt;
+  /// GEOS-kernel flavour: slot-aligned parsed geometries, filled only by
+  /// builds that keep them (Impala's cached-parse ablation, the stream's
+  /// right sides); empty = the paper's per-pair WKT re-parse of `wkt`.
+  std::vector<std::unique_ptr<geosim::Geometry>> parsed;
   /// Slot-aligned prepared grids; empty when preparation is disabled,
   /// nullptr per slot for records below the vertex threshold.
   std::vector<std::unique_ptr<geom::PreparedPolygon>> prepared;
@@ -60,9 +68,9 @@ struct BuiltRight {
     return n;
   }
 
-  /// Approximate resident size (records/ids/WKT + grids + tree + packed
-  /// layout), for broadcast payloads and cache memory accounting. Always
-  /// >= the sum of the component MemoryBytes() walks.
+  /// Approximate resident size (records/ids/WKT + kept parses + grids +
+  /// tree + packed layout), for broadcast payloads and cache memory
+  /// accounting. Always >= the sum of the component MemoryBytes() walks.
   int64_t MemoryBytes() const;
 };
 

@@ -34,6 +34,11 @@ inline constexpr char kFilterSimdLanes[] = "join.filter_simd_lanes_used";
 /// re-parse inside GEOS-role refinement. Previously a silent drop.
 inline constexpr char kRefineParseError[] = "join.refine_parse_error";
 
+/// A pair refined by parsing WKT again (GeosRefiner without kept parses,
+/// Impala's ST_* UDF) — the paper's ISP-MC trait, and 0 on paths that
+/// refine parsed geometries (streaming, the cached-parse ablation).
+inline constexpr char kRefineReparsed[] = "join.refine_reparsed";
+
 /// Serving layer: a retained right-side build was reused.
 inline constexpr char kIndexCacheHit[] = "join.index_cache_hit";
 

@@ -115,12 +115,14 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
 /// grid, which owns its parsed geometries inside per-cell entries and
 /// cannot hand them to a batch without cloning). `get_geom(i)` must return
 /// the parsed GEOS-role geometry (convertible to `const geosim::Geometry&`),
-/// `get_wkt(i)` the retained WKT text (`const std::string&` — the refiner
-/// re-parses it on the prepared path), and `get_id(i)` the probe record
-/// id. Runs the one probe driver (exec/tiled_probe.h) over the broadcast
-/// tile and refines through GeosRefiner, emitting `emit(IdPair)` for every
-/// match in probe order; `stats` must be non-null. The batch overload
-/// below delegates here.
+/// `get_wkt(i)` the retained WKT text (`const std::string&` — read only
+/// when `right` keeps no parses, where the refiner re-parses both sides
+/// per pair, the ISP-MC / standalone trait), and `get_id(i)` the probe
+/// record id. Runs the one probe driver (exec/tiled_probe.h) over the
+/// broadcast tile and refines through GeosRefiner — on `get_geom(i)` and
+/// the kept right parse when `right` holds them (the stream's cached
+/// right sides) — emitting `emit(IdPair)` for every match in probe order;
+/// `stats` must be non-null. The batch overload below delegates here.
 template <typename GetGeom, typename GetWkt, typename GetId, typename Emit>
 void RunGeosProbes(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
                    GetId&& get_id, const BuiltRight& right,

@@ -13,6 +13,7 @@ void RefineStats::FlushTo(Counters* counters) const {
   if (refine_parse_errors != 0) {
     counters->Add(counter::kRefineParseError, refine_parse_errors);
   }
+  if (reparsed != 0) counters->Add(counter::kRefineReparsed, reparsed);
 }
 
 void ProbeStats::FlushTo(Counters* counters) const {

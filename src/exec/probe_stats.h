@@ -19,11 +19,15 @@ struct RefineStats {
   /// GEOS-role refinements whose WKT re-parse failed (previously a silent
   /// drop; see counter::kRefineParseError).
   int64_t refine_parse_errors = 0;
+  /// GEOS-role refinements that re-parsed WKT for the pair (the paper's
+  /// ISP-MC UDF trait; see counter::kRefineReparsed).
+  int64_t reparsed = 0;
 
   void MergeFrom(const RefineStats& other) {
     prepared_hits += other.prepared_hits;
     boundary_fallbacks += other.boundary_fallbacks;
     refine_parse_errors += other.refine_parse_errors;
+    reparsed += other.reparsed;
   }
 
   /// Adds the non-zero fields to `counters` (no-op on nullptr).

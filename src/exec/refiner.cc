@@ -6,6 +6,7 @@ namespace cloudjoin::exec {
 
 bool RefineGeosWkt(const std::string& left_wkt, const std::string& right_wkt,
                    const SpatialPredicate& predicate, RefineStats* stats) {
+  ++stats->reparsed;
   auto left = ParseGeosWkt(left_wkt);
   auto right = ParseGeosWkt(right_wkt);
   if (!left.ok() || !right.ok()) {

@@ -56,9 +56,10 @@ inline bool RefineGeosPair(const geosim::Geometry& left,
 
 /// GEOS-role refinement straight from WKT: parses BOTH sides per call —
 /// the paper's per-pair allocation churn (ISP-MC's refine UDF re-parses
-/// its arguments on every invocation). A WKT that fails to re-parse is a
-/// non-match, counted in `stats->refine_parse_errors` (non-null `stats`;
-/// this was a silent drop before the exec layer).
+/// its arguments on every invocation). Counts the pair in
+/// `stats->reparsed` (non-null `stats`). A WKT that fails to re-parse is a
+/// non-match, counted in `stats->refine_parse_errors` (this was a silent
+/// drop before the exec layer).
 bool RefineGeosWkt(const std::string& left_wkt, const std::string& right_wkt,
                    const SpatialPredicate& predicate, RefineStats* stats);
 
@@ -94,9 +95,10 @@ class JtsRefiner {
   const std::vector<std::unique_ptr<geom::PreparedPolygon>>* prepared_;
 };
 
-/// GEOS-role refiner over an indexed right side (the ISP-MC / standalone
-/// refinement): prepared grid fast path for kWithin point probes, per-pair
-/// WKT re-parse otherwise. Views, does not own.
+/// GEOS-role refiner over an indexed right side: prepared grid fast path
+/// for kWithin point probes, then the right side's kept parses when its
+/// build kept them (streaming, Impala's cached-parse ablation), else the
+/// per-pair WKT re-parse of ISP-MC / standalone. Views, does not own.
 class GeosRefiner {
  public:
   GeosRefiner(const BuiltRight* right, const SpatialPredicate* predicate)
@@ -123,12 +125,24 @@ class GeosRefiner {
     return true;
   }
 
-  /// Full refinement of one candidate: prepared fast path, else per-pair
-  /// WKT re-parse through the GEOS-role kernel.
+  /// Refinement without a WKT re-parse, when the right side allows it:
+  /// the prepared fast path, else `left_geom` against the kept parse of
+  /// `slot`. Stores the verdict in `*match` and returns true; returns
+  /// false when neither applies and the caller must re-parse.
+  bool TryParsed(const geosim::Geometry& left_geom, size_t slot,
+                 RefineStats* stats, bool* match) const {
+    if (TryPrepared(left_geom, slot, stats, match)) return true;
+    if (right_->parsed.empty()) return false;
+    *match = RefineGeosPair(left_geom, *right_->parsed[slot], *predicate_);
+    return true;
+  }
+
+  /// Full refinement of one candidate: TryParsed, else per-pair WKT
+  /// re-parse through the GEOS-role kernel.
   bool Refine(const geosim::Geometry& left_geom, const std::string& left_wkt,
               size_t slot, RefineStats* stats) const {
     bool match = false;
-    if (TryPrepared(left_geom, slot, stats, &match)) return match;
+    if (TryParsed(left_geom, slot, stats, &match)) return match;
     return RefineGeosWkt(left_wkt, right_->wkt[slot], *predicate_, stats);
   }
 

@@ -59,8 +59,9 @@ std::unique_ptr<geom::PreparedPolygon> PrepareFromWktFlat(
 }  // namespace
 
 RightIndexBuilder::RightIndexBuilder(double radius,
-                                     const PrepareOptions& prepare)
-    : radius_(radius), prepare_(prepare) {}
+                                     const PrepareOptions& prepare,
+                                     bool keep_parsed)
+    : radius_(radius), prepare_(prepare), keep_parsed_(keep_parsed) {}
 
 void RightIndexBuilder::AddGeomRecord(IdGeometry record) {
   geom::Envelope env = record.geometry.envelope();
@@ -82,29 +83,41 @@ void RightIndexBuilder::AddGeomRecords(std::vector<IdGeometry> records) {
   }
 }
 
-void RightIndexBuilder::AddGeosRecord(int64_t id, std::string_view wkt,
-                                      const geosim::Geometry& parsed) {
-  geom::Envelope env = parsed.getEnvelopeInternal();
+void RightIndexBuilder::AddGeosRecord(
+    int64_t id, std::string_view wkt,
+    std::unique_ptr<geosim::Geometry> parsed) {
+  geom::Envelope env = parsed->getEnvelopeInternal();
   env.ExpandBy(radius_);
   entries_.push_back(
       index::StrTree::Entry{env, static_cast<int64_t>(built_.ids.size())});
   built_.ids.push_back(id);
-  built_.wkt.emplace_back(wkt);
   if (prepare_.enabled) {
-    built_.prepared.push_back(PrepareFromWkt(wkt, parsed, prepare_));
+    built_.prepared.push_back(PrepareFromWkt(wkt, *parsed, prepare_));
+  }
+  if (keep_parsed_) {
+    built_.parsed.push_back(std::move(parsed));
+  } else {
+    built_.wkt.emplace_back(wkt);
   }
 }
 
-void RightIndexBuilder::AddEnvelopeRecord(int64_t id, std::string_view wkt,
+bool RightIndexBuilder::AddEnvelopeRecord(int64_t id, std::string_view wkt,
                                           geom::Envelope envelope) {
+  if (keep_parsed_) {
+    auto parsed = ParseGeosWkt(wkt);
+    if (!parsed.ok()) return false;
+    built_.parsed.push_back(std::move(parsed).value());
+  } else {
+    built_.wkt.emplace_back(wkt);
+  }
   envelope.ExpandBy(radius_);
   entries_.push_back(index::StrTree::Entry{
       envelope, static_cast<int64_t>(built_.ids.size())});
   built_.ids.push_back(id);
-  built_.wkt.emplace_back(wkt);
   if (prepare_.enabled) {
     built_.prepared.push_back(PrepareFromWktFlat(wkt, prepare_));
   }
+  return true;
 }
 
 BuiltRight RightIndexBuilder::Finish(Counters* counters,
@@ -154,22 +167,26 @@ BuiltRight RightIndexBuilder::Finish(Counters* counters,
 Result<BuiltRight> BuildRightFromTable(const dfs::SimFile& file,
                                        const TableInput& input, double radius,
                                        const PrepareOptions& prepare,
-                                       Counters* counters) {
+                                       Counters* counters, bool keep_parsed) {
   CpuTimer build_watch;
-  RightIndexBuilder builder(radius, prepare);
+  RightIndexBuilder builder(radius, prepare, keep_parsed);
 
   if (input.format == TableFormat::kColumnar) {
     // Columnar build: envelopes stream straight from the stored columns
-    // into the tree entries — no per-row WKT parse on this path.
+    // into the tree entries — no per-row WKT parse on this path unless
+    // the build keeps its parses.
     CLOUDJOIN_ASSIGN_OR_RETURN(dfs::ColumnarTableReader reader,
                                dfs::ColumnarTableReader::Open(file));
     for (int64_t b = 0; b < reader.num_blocks(); ++b) {
       CLOUDJOIN_ASSIGN_OR_RETURN(dfs::ColumnarBlock block,
                                  reader.ReadBlock(b));
       for (int64_t i = 0; i < block.size(); ++i) {
-        builder.AddEnvelopeRecord(block.ids[static_cast<size_t>(i)],
-                                  block.wkt[static_cast<size_t>(i)],
-                                  block.RowEnvelope(i));
+        if (!builder.AddEnvelopeRecord(block.ids[static_cast<size_t>(i)],
+                                       block.wkt[static_cast<size_t>(i)],
+                                       block.RowEnvelope(i)) &&
+            counters != nullptr) {
+          counters->Add(counter::kRightBadGeom, 1);
+        }
       }
     }
     BuiltRight built = builder.Finish(counters);
@@ -203,7 +220,8 @@ Result<BuiltRight> BuildRightFromTable(const dfs::SimFile& file,
       if (counters != nullptr) counters->Add(counter::kRightBadGeom, 1);
       continue;
     }
-    builder.AddGeosRecord(*id, fields[input.geometry_column], **parsed);
+    builder.AddGeosRecord(*id, fields[input.geometry_column],
+                          std::move(parsed).value());
   }
   BuiltRight built = builder.Finish(counters);
   built.build_seconds = build_watch.ElapsedSeconds();

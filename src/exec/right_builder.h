@@ -26,7 +26,11 @@ namespace cloudjoin::exec {
 /// the shell while the build semantics live here, once.
 class RightIndexBuilder {
  public:
-  RightIndexBuilder(double radius, const PrepareOptions& prepare);
+  /// `keep_parsed` fills BuiltRight::parsed in place of BuiltRight::wkt,
+  /// so GEOS-role refinement reads the kept geometries instead of
+  /// re-parsing WKT per pair.
+  RightIndexBuilder(double radius, const PrepareOptions& prepare,
+                    bool keep_parsed = false);
 
   /// Geom-kernel record (already parsed, flat kernel). Preparation is
   /// deferred to Finish() so it can run on the PrepareOptions pool.
@@ -37,18 +41,20 @@ class RightIndexBuilder {
   void AddGeomRecords(std::vector<IdGeometry> records);
 
   /// GEOS-kernel record: `parsed` is the scanned geometry (drives the
-  /// envelope and the preparability rule), `wkt` is retained for per-pair
-  /// re-parse refinement. Grids are built inline while streaming.
+  /// envelope and the preparability rule); the builder retains it when it
+  /// keeps parses, else `wkt` for per-pair re-parse refinement. Grids are
+  /// built inline while streaming.
   void AddGeosRecord(int64_t id, std::string_view wkt,
-                     const geosim::Geometry& parsed);
+                     std::unique_ptr<geosim::Geometry> parsed);
 
   /// GEOS-kernel record from columnar storage: the envelope comes from
   /// the stored envelope column, so no geometry parse happens on this
-  /// path at all (unless preparation is enabled, which parses the WKT
-  /// once to build the grid — exactly what the text path pays too).
-  /// `envelope` must be the raw (un-expanded) envelope the scan kernel
-  /// would compute from `wkt`.
-  void AddEnvelopeRecord(int64_t id, std::string_view wkt,
+  /// path unless the builder keeps parses (one GEOS-role parse to keep)
+  /// or preparation is enabled (one flat parse for the grid — exactly
+  /// what the text path pays too). `envelope` must be the raw
+  /// (un-expanded) envelope the scan kernel would compute from `wkt`.
+  /// Returns false, adding nothing, when a parse to keep fails.
+  bool AddEnvelopeRecord(int64_t id, std::string_view wkt,
                          geom::Envelope envelope);
 
   /// Records added so far (== the slot the next Add receives).
@@ -65,6 +71,7 @@ class RightIndexBuilder {
  private:
   double radius_;
   PrepareOptions prepare_;
+  bool keep_parsed_;
   BuiltRight built_;
   std::vector<index::StrTree::Entry> entries_;
 };
@@ -72,12 +79,14 @@ class RightIndexBuilder {
 /// The canonical GEOS-kernel right-side build from a delimited text file
 /// (the ISP-MC standalone build phase): line scan, field split, id/WKT
 /// parse with unified join.right_malformed / join.right_bad_geom
-/// accounting, then RightIndexBuilder. `built.build_seconds` measures the
-/// whole scan + index build.
+/// accounting, then RightIndexBuilder (`keep_parsed` as there; a columnar
+/// row whose WKT fails the parse to keep counts as join.right_bad_geom).
+/// `built.build_seconds` measures the whole scan + index build.
 Result<BuiltRight> BuildRightFromTable(const dfs::SimFile& file,
                                        const TableInput& input, double radius,
                                        const PrepareOptions& prepare,
-                                       Counters* counters);
+                                       Counters* counters,
+                                       bool keep_parsed = false);
 
 }  // namespace cloudjoin::exec
 

@@ -31,15 +31,14 @@ int64_t RowBytes(const Row& row) {
 }
 
 /// The spatial-join refinement personality, for both join strategies: the
-/// prepared fast path is the core's GeosRefiner; the UDF re-parse (faithful
-/// ISP-MC) and cached-parse ablation fallbacks are this engine's own.
+/// prepared fast path and the cached-parse ablation (a right side built
+/// with its parses kept) are the core's GeosRefiner; the UDF re-parse
+/// (faithful ISP-MC) is this engine's own.
 class SpatialRefinery {
  public:
-  SpatialRefinery(const BroadcastRight* right, const SpatialJoinSpec* spec,
-                  bool cache_parsed)
+  SpatialRefinery(const BroadcastRight* right, const SpatialJoinSpec* spec)
       : right_(right),
         spec_(spec),
-        cache_parsed_(cache_parsed),
         has_distance_(spec->predicate ==
                       SpatialJoinSpec::Predicate::kNearestD),
         predicate_(PredicateOf(*spec)),
@@ -49,7 +48,7 @@ class SpatialRefinery {
   /// UDF argument slots once per probe row; only the right geometry slot
   /// changes per candidate.
   void BeginProbe(const std::string& left_wkt) {
-    if (cache_parsed_) return;
+    if (!right_->parsed.empty()) return;  // kept parses: no UDF call follows
     udf_args_.resize(has_distance_ ? 3 : 2);
     udf_args_[0] = left_wkt;
     if (has_distance_) udf_args_[2] = spec_->distance;
@@ -58,16 +57,12 @@ class SpatialRefinery {
   /// Exact test for candidate pair (left_geom, right slot `id`).
   bool Refine(const geosim::Geometry& left_geom, size_t id) {
     bool match = false;
-    if (refiner_.TryPrepared(left_geom, id, &refine_stats_, &match)) {
-      // Prepared grid answered; nothing further to evaluate.
-    } else if (cache_parsed_) {
-      // Ablation: reuse parsed geometries instead of re-parsing WKT.
-      match = core::RefineGeosPair(left_geom, *right_->parsed[id], predicate_);
-    } else {
+    if (!refiner_.TryParsed(left_geom, id, &refine_stats_, &match)) {
       // Faithful ISP-MC refinement: the UDF receives WKT strings and
       // parses both geometries again (the paper's third parsing site).
       // The args vector is reused across pairs (Impala passes slot
       // references, not fresh copies).
+      ++refine_stats_.reparsed;
       udf_args_[1] = right_->wkt[id];
       Value v = spec_->refine_udf->fn(udf_args_);
       const bool* b = std::get_if<bool>(&v);
@@ -97,7 +92,6 @@ class SpatialRefinery {
 
   const BroadcastRight* right_;
   const SpatialJoinSpec* spec_;
-  bool cache_parsed_;
   bool has_distance_;
   core::SpatialPredicate predicate_;
   core::GeosRefiner refiner_;
@@ -334,7 +328,8 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
   auto right = std::make_unique<BroadcastRight>();
   core::PrepareOptions prepare;
   prepare.enabled = prepare_geometries;
-  core::RightIndexBuilder builder(radius, prepare);
+  core::RightIndexBuilder builder(radius, prepare,
+                                  /*keep_parsed=*/cache_parsed);
 
   if (table->format == core::TableFormat::kColumnar && geom_slot >= 0) {
     // Columnar right side: stored envelopes stream straight into the
@@ -370,16 +365,12 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
           }
         }
         if (!keep) continue;
-        if (cache_parsed) {
-          auto parsed = core::ParseGeosWkt(block.wkt[r]);
-          if (!parsed.ok()) {
-            counters->Add(core::counter::kRightBadGeom, 1);
-            continue;
-          }
-          right->parsed.push_back(std::move(parsed).value());
+        if (!builder.AddEnvelopeRecord(
+                static_cast<int64_t>(right->rows.size()), block.wkt[r],
+                block.RowEnvelope(i))) {
+          counters->Add(core::counter::kRightBadGeom, 1);
+          continue;
         }
-        builder.AddEnvelopeRecord(static_cast<int64_t>(right->rows.size()),
-                                  block.wkt[r], block.RowEnvelope(i));
         right->bytes += RowBytes(row);
         right->rows.push_back(std::move(row));
         row = Row();
@@ -419,11 +410,8 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
       // Core build: slot = rows.size(), kept aligned by adding to the
       // builder and to `rows` in lockstep.
       builder.AddGeosRecord(static_cast<int64_t>(right->rows.size()), *wkt,
-                            **parsed);
+                            std::move(parsed).value());
       right->bytes += RowBytes(row);
-      if (cache_parsed) {
-        right->parsed.push_back(std::move(parsed).value());
-      }
       right->rows.push_back(std::move(row));
     }
   }
@@ -443,12 +431,6 @@ int64_t BroadcastRight::MemoryBytes() const {
   for (const Row& row : rows) {
     total += static_cast<int64_t>(sizeof(Row)) + RowBytes(row);
   }
-  for (const auto& g : parsed) {
-    // Heap coordinate sequence plus virtual-object overhead.
-    if (g != nullptr) {
-      total += 64 + static_cast<int64_t>(g->getNumPoints()) * 24;
-    }
-  }
   return total;
 }
 
@@ -458,8 +440,7 @@ SpatialJoinNode::SpatialJoinNode(
     std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
     const core::TiledRight* tiled, const SpatialJoinSpec* spec,
     const std::vector<std::unique_ptr<Expr>>* post_filters,
-    const std::vector<const Expr*>* output_exprs, bool cache_parsed,
-    Counters* counters, const index::ProbeOptions& probe,
+    const std::vector<const Expr*>* output_exprs, Counters* counters, const index::ProbeOptions& probe,
     std::vector<double>* tile_seconds)
     : left_child_(std::move(left_child)),
       right_(right),
@@ -467,7 +448,6 @@ SpatialJoinNode::SpatialJoinNode(
       spec_(spec),
       post_filters_(post_filters),
       output_exprs_(output_exprs),
-      cache_parsed_(cache_parsed),
       counters_(counters),
       probe_(probe),
       tile_seconds_(tile_seconds) {}
@@ -486,7 +466,7 @@ void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
   // filter per probe_ — and owned candidates come back probe-ascending
   // within each tile, so broadcast output row order matches per-row
   // execution.
-  SpatialRefinery refinery(right_, spec_, cache_parsed_);
+  SpatialRefinery refinery(right_, spec_);
   core::ProbeStats stats;
   int64_t current_probe = -1;
   core::RunTiledProbes(
@@ -655,8 +635,7 @@ std::unique_ptr<ExecNode> MakeJoinExecNode(
   if (join.kind == PlanNode::Kind::kSpatialJoin) {
     return std::make_unique<SpatialJoinNode>(
         std::move(left_child), right, tiled, &join.spatial,
-        &join.post_filters, output_exprs, join.cache_parsed_geometries,
-        counters, join.probe, tiled != nullptr ? tile_seconds : nullptr);
+        &join.post_filters, output_exprs, counters, join.probe, tiled != nullptr ? tile_seconds : nullptr);
   }
   return std::make_unique<CrossJoinNode>(std::move(left_child), right,
                                          &join.post_filters, output_exprs,

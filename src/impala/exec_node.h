@@ -87,18 +87,13 @@ class HdfsScanNode final : public ExecNode {
 
 /// The broadcast right side of a join, shared (read-only) by all fragment
 /// instances: the execution core's BuiltRight (WKT + STR-tree + optional
-/// prepared grids) plus the Impala-specific retentions — the materialized
-/// rows the join output projects from, and the parsed-geometry ablation
-/// cache.
+/// prepared grids and kept parses) plus the Impala-specific retention —
+/// the materialized rows the join output projects from.
 ///
 /// This models ISP-MC's behaviour: each Impala instance receives all right
 /// row batches and builds an in-memory R-tree before probing starts.
 struct BroadcastRight : cloudjoin::exec::BuiltRight {
   std::vector<Row> rows;
-  /// Parsed geometries, filled only when geometry caching is enabled (the
-  /// reuse-parsed-geometries ablation; off = the paper's faithful re-parse
-  /// behaviour).
-  std::vector<std::unique_ptr<geosim::Geometry>> parsed;
   /// Estimated serialized size (what the network broadcast ships).
   int64_t bytes = 0;
 
@@ -110,7 +105,8 @@ struct BroadcastRight : cloudjoin::exec::BuiltRight {
 };
 
 /// Builds the broadcast structure by scanning the whole right table.
-/// `cache_parsed` enables the geometry-reuse ablation; `prepare_geometries`
+/// `cache_parsed` enables the geometry-reuse ablation (the build keeps its
+/// parses in BuiltRight::parsed); `prepare_geometries`
 /// additionally builds a `geom::PreparedPolygon` per sufficiently complex
 /// right polygon so kWithin point probes refine in O(1).
 Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
@@ -145,7 +141,7 @@ class SpatialJoinNode final : public ExecNode {
                   const SpatialJoinSpec* spec,
                   const std::vector<std::unique_ptr<Expr>>* post_filters,
                   const std::vector<const Expr*>* output_exprs,
-                  bool cache_parsed, Counters* counters,
+                  Counters* counters,
                   const index::ProbeOptions& probe,
                   std::vector<double>* tile_seconds);
 
@@ -165,7 +161,6 @@ class SpatialJoinNode final : public ExecNode {
   const SpatialJoinSpec* spec_;
   const std::vector<std::unique_ptr<Expr>>* post_filters_;
   const std::vector<const Expr*>* output_exprs_;
-  bool cache_parsed_;
   Counters* counters_;
   index::ProbeOptions probe_;
   std::vector<double>* tile_seconds_;

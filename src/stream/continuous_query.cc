@@ -90,11 +90,7 @@ Result<int64_t> ContinuousQueryRegistry::Register(
   query->options = options;
   query->predicate = ToPredicate(*analyzed->spatial_join);
   query->right_table = analyzed->right_table->name;
-  query->right_input.path = analyzed->right_table->dfs_path;
-  query->right_input.separator = analyzed->right_table->separator;
-  query->right_input.id_column = 0;
-  query->right_input.geometry_column = analyzed->spatial_join->right_geom_slot;
-  query->right_input.format = analyzed->right_table->format;
+  query->right_geometry_column = analyzed->spatial_join->right_geom_slot;
   query->subscriber = std::move(subscriber);
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -166,33 +162,47 @@ void ContinuousQueryRegistry::Flush() {
   }
 }
 
-std::string ContinuousQueryRegistry::RightKey(const Query& query) const {
+Result<ContinuousQueryRegistry::RightSide>
+ContinuousQueryRegistry::CurrentRight(const Query& query) const {
   // The catalog generation fences replaced tables out of the cache: a
   // re-registered right side changes the key, so stale entries are
   // unreachable even if an in-flight build inserts after InvalidateTable.
-  const int64_t generation =
-      service_->system()->runtime()->catalog()->TableGeneration(
-          query.right_table);
-  return "stream|" + query.right_table + "|gen=" + std::to_string(generation) +
-         "|geom=" + std::to_string(query.right_input.geometry_column) + "|" +
-         query.predicate.ToString() + "|" +
-         query.options.prepare.Fingerprint();
+  // The input is read from the same definition, so a rebuild under the
+  // new key reads the new path and format.
+  const impala::Catalog* catalog = service_->system()->runtime()->catalog();
+  const impala::TableDef* table;
+  CLOUDJOIN_ASSIGN_OR_RETURN(table, catalog->GetTable(query.right_table));
+  RightSide side;
+  side.input.path = table->dfs_path;
+  side.input.separator = table->separator;
+  side.input.id_column = 0;
+  side.input.geometry_column = query.right_geometry_column;
+  side.input.format = table->format;
+  side.key = "stream|" + query.right_table + "|gen=" +
+             std::to_string(catalog->TableGeneration(query.right_table)) +
+             "|geom=" + std::to_string(query.right_geometry_column) + "|" +
+             query.predicate.ToString() + "|" +
+             query.options.prepare.Fingerprint();
+  return side;
 }
 
 Result<std::shared_ptr<const exec::BuiltRight>>
 ContinuousQueryRegistry::ResolveRight(const Query& query,
-                                      const std::string& key,
+                                      const RightSide& side,
                                       bool* cache_hit) {
   return resolver_.GetOrBuild(
-      key, query.right_table,
+      side.key, query.right_table,
       [&]() -> Result<std::shared_ptr<const exec::BuiltRight>> {
         const dfs::SimFile* file;
-        CLOUDJOIN_ASSIGN_OR_RETURN(file, fs_->GetFile(query.right_input.path));
+        CLOUDJOIN_ASSIGN_OR_RETURN(file, fs_->GetFile(side.input.path));
+        // Keep the build's parses: every window refines its events against
+        // them, so no pair re-parses the right side's WKT.
         exec::BuiltRight built;
         CLOUDJOIN_ASSIGN_OR_RETURN(
             built, exec::BuildRightFromTable(
-                       *file, query.right_input, query.predicate.FilterRadius(),
-                       query.options.prepare, &counters_));
+                       *file, side.input, query.predicate.FilterRadius(),
+                       query.options.prepare, &counters_,
+                       /*keep_parsed=*/true));
         return std::shared_ptr<const exec::BuiltRight>(
             std::make_shared<exec::BuiltRight>(std::move(built)));
       },
@@ -216,9 +226,11 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
 
   Stopwatch watch;
   bool cache_hit = false;
-  const std::string key = RightKey(query);
+  const Result<RightSide> side = CurrentRight(query);
   Result<std::shared_ptr<const exec::BuiltRight>> right =
-      ResolveRight(query, key, &cache_hit);
+      side.ok() ? ResolveRight(query, *side, &cache_hit)
+                : Result<std::shared_ptr<const exec::BuiltRight>>(
+                      side.status());
   if (!right.ok()) {
     result.status = right.status();
   } else {
@@ -228,8 +240,8 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
                   1);
     // Memos are valid exactly while the key is: the same contract the
     // cache relies on to serve one build for every window.
-    if (key != query.right_key) {
-      query.right_key = key;
+    if (side->key != query.right_key) {
+      query.right_key = side->key;
       ++query.right_epoch;
     }
     const exec::BuiltRight& built = *right.value();

@@ -128,7 +128,9 @@ class CachedRightResolver {
 /// paper's join, amortized over the stream), gathers the window contents
 /// from the grid (pruned against the right side's filter region), runs
 /// the shared exec::RunGeosProbes driver over the events whose memoized
-/// match list is missing or stale, and pushes the seq-ordered
+/// match list is missing or stale — refining each event's arrival parse
+/// against the right side's kept parses, so no pair re-parses WKT — and
+/// pushes the seq-ordered
 /// concatenation of every gathered event's matches to the subscriber. An
 /// event in P overlapping sliding windows is thus refined once, not P
 /// times (DESIGN.md §9, match reuse across panes).
@@ -174,7 +176,7 @@ class ContinuousQueryRegistry {
     StreamQueryOptions options;
     exec::SpatialPredicate predicate;
     std::string right_table;
-    exec::TableInput right_input;
+    int right_geometry_column = 1;
     WindowManager manager;
     WindowGrid grid;
     Subscriber subscriber;
@@ -189,10 +191,17 @@ class ContinuousQueryRegistry {
         : manager(window), grid(grid_options) {}
   };
 
+  /// The right side a firing probes: the table's current catalog
+  /// definition and the generation-fenced cache key, read together.
+  struct RightSide {
+    std::string key;
+    exec::TableInput input;
+  };
+
   void OnClosedWindow(Query& query, const ClosedWindow& closed);
-  std::string RightKey(const Query& query) const;
+  Result<RightSide> CurrentRight(const Query& query) const;
   Result<std::shared_ptr<const exec::BuiltRight>> ResolveRight(
-      const Query& query, const std::string& key, bool* cache_hit);
+      const Query& query, const RightSide& side, bool* cache_hit);
 
   server::QueryService* service_;
   dfs::SimFileSystem* fs_;

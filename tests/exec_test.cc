@@ -152,7 +152,7 @@ TEST(RightBuilderTest, GeomAndGeosFlavoursIndexTheSameEnvelopes) {
     std::string wkt = check::FormatWkt(record.geometry);
     auto parsed = ParseGeosWkt(wkt);
     ASSERT_TRUE(parsed.ok()) << wkt;
-    geos_builder.AddGeosRecord(record.id, wkt, **parsed);
+    geos_builder.AddGeosRecord(record.id, wkt, std::move(parsed).value());
   }
   BuiltRight geos_side = geos_builder.Finish();
 
@@ -186,6 +186,113 @@ TEST(BuiltRightTest, MemoryBytesCoversComponentSum) {
   component_sum += built->packed->MemoryBytes();
   EXPECT_GE(built->MemoryBytes(), component_sum);
   EXPECT_GT(built->NumPrepared(), 0);
+}
+
+TEST(RightBuilderTest, KeptParsesAreSlotAlignedAndDropUnparseableRows) {
+  RightIndexBuilder builder(/*radius=*/0.0, PrepareOptions(),
+                            /*keep_parsed=*/true);
+  const geom::Envelope point_env(1, 1, 1, 1);
+  EXPECT_TRUE(builder.AddEnvelopeRecord(4, "POINT (1 1)", point_env));
+  // The parse to keep fails: nothing is added, the slot stays free.
+  EXPECT_FALSE(builder.AddEnvelopeRecord(5, "POINT (nonsense", point_env));
+  auto line = ParseGeosWkt("LINESTRING (0 0, 2 2)");
+  ASSERT_TRUE(line.ok());
+  builder.AddGeosRecord(6, "LINESTRING (0 0, 2 2)", std::move(line).value());
+  BuiltRight built = builder.Finish();
+
+  ASSERT_EQ(built.size(), 2);
+  ASSERT_EQ(built.parsed.size(), 2u);
+  EXPECT_TRUE(built.wkt.empty());  // the parses replace the text
+  EXPECT_EQ(built.ids, (std::vector<int64_t>{4, 6}));
+  EXPECT_EQ(built.parsed[0]->getGeometryTypeId(),
+            geosim::GeometryTypeId::kPoint);
+  EXPECT_EQ(built.parsed[1]->getNumPoints(), 2u);
+}
+
+/// A right side that keeps its parses refines without re-parsing WKT and
+/// must not change a single verdict or the pair order: over points,
+/// linestrings and polygons with holes, for every operator, with and
+/// without prepared grids.
+TEST(GeosRefinerTest, KeptParsesMatchWktReparseExactly) {
+  dfs::SimFileSystem fs(4, /*block_size=*/16 * 1024);
+  const std::string right_text =
+      "0\tPOLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), "
+      "(3 3, 7 3, 7 7, 3 7, 3 3))\n"
+      "1\tLINESTRING (0 12, 12 12)\n"
+      "2\tPOINT (5 5)\n"
+      "3\t" + BigPolygonWkt() + "\n" +
+      "4\tPOLYGON ((8 8, 14 8, 14 14, 8 14, 8 8), (9 9, 11 9, 11 11, 9 11, "
+      "9 9))\n";
+  ASSERT_TRUE(fs.WriteFile(kRightPath, right_text).ok());
+  auto right_file = fs.GetFile(kRightPath);
+  ASSERT_TRUE(right_file.ok());
+
+  const std::vector<std::string> left_wkt = {
+      "POINT (1 1)",
+      "POINT (5 5)",
+      "POINT (10 10)",
+      "LINESTRING (-1 5, 11 5)",
+      "POLYGON ((1 1, 2 1, 2 2, 1 2, 1 1))",
+      "POLYGON ((4 4, 6 4, 6 6, 4 6, 4 4))",
+      "LINESTRING (12.5 9, 12.5 13)",
+      "POINT (12 11)",
+      "POLYGON ((0.5 0.5, 9.5 0.5, 9.5 9.5, 0.5 9.5, 0.5 0.5), "
+      "(2 2, 8 2, 8 8, 2 8, 2 2))"};
+  GeosProbeBatch batch;
+  for (size_t i = 0; i < left_wkt.size(); ++i) {
+    auto parsed = ParseGeosWkt(left_wkt[i]);
+    ASSERT_TRUE(parsed.ok()) << left_wkt[i];
+    batch.ids.push_back(100 + static_cast<int64_t>(i));
+    batch.wkt.push_back(left_wkt[i]);
+    batch.geoms.push_back(std::move(parsed).value());
+  }
+
+  for (const PrepareOptions& prepare :
+       {PrepareOptions(), PrepareOptions::Prepared()}) {
+    for (const SpatialPredicate& predicate :
+         {SpatialPredicate::Within(), SpatialPredicate::NearestD(1.5),
+          SpatialPredicate::Intersects()}) {
+      SCOPED_TRACE(predicate.ToString() + " " + prepare.Fingerprint());
+      Counters counters;
+      auto reparse = BuildRightFromTable(**right_file, RightInput(),
+                                         predicate.FilterRadius(), prepare,
+                                         &counters);
+      auto kept = BuildRightFromTable(**right_file, RightInput(),
+                                      predicate.FilterRadius(), prepare,
+                                      &counters, /*keep_parsed=*/true);
+      ASSERT_TRUE(reparse.ok()) << reparse.status();
+      ASSERT_TRUE(kept.ok()) << kept.status();
+      EXPECT_TRUE(reparse->parsed.empty());
+      ASSERT_EQ(kept->parsed.size(), static_cast<size_t>(kept->size()));
+      EXPECT_TRUE(kept->wkt.empty());
+      // The cache budget charges for the kept geometries.
+      const int64_t charged = kept->MemoryBytes();
+      auto parses = std::move(kept->parsed);
+      kept->parsed.clear();
+      EXPECT_GT(charged, kept->MemoryBytes());
+      kept->parsed = std::move(parses);
+
+      std::vector<IdPair> reparse_pairs;
+      std::vector<IdPair> kept_pairs;
+      ProbeStats reparse_stats;
+      ProbeStats kept_stats;
+      RunGeosProbes(batch, *reparse, predicate, index::ProbeOptions(),
+                    [&](IdPair p) { reparse_pairs.push_back(p); },
+                    &reparse_stats);
+      RunGeosProbes(batch, *kept, predicate, index::ProbeOptions(),
+                    [&](IdPair p) { kept_pairs.push_back(p); }, &kept_stats);
+
+      EXPECT_EQ(kept_pairs, reparse_pairs);
+      EXPECT_GT(reparse_stats.matches, 0);
+      EXPECT_GT(reparse_stats.candidates, reparse_stats.matches);
+      EXPECT_EQ(kept_stats.candidates, reparse_stats.candidates);
+      EXPECT_EQ(kept_stats.refine.prepared_hits,
+                reparse_stats.refine.prepared_hits);
+      EXPECT_EQ(kept_stats.refine.reparsed, 0);
+      EXPECT_EQ(reparse_stats.refine.reparsed,
+                reparse_stats.candidates - reparse_stats.refine.prepared_hits);
+    }
+  }
 }
 
 TEST(RefinerTest, BadWktInRefinementIsCountedNotSilent) {

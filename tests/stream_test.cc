@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dfs/sim_file_system.h"
+#include "exec/counter_names.h"
 #include "exec/geo_parse.h"
 #include "exec/probe_scanner.h"
 #include "exec/right_builder.h"
@@ -692,6 +693,10 @@ TEST_F(RegistryTest, SlidingWindowsProbeEachEventOnce) {
   EXPECT_NE(stats.ToString().find("events_reused=" +
                                   std::to_string(3 * parseable)),
             std::string::npos);
+  // Both arms refine against the cached right side's kept parses: no pair
+  // re-parses WKT.
+  EXPECT_GT(stats.counters.Get(exec::counter::kCandidates), 0);
+  EXPECT_EQ(stats.counters.Get(exec::counter::kRefineReparsed), 0);
 }
 
 TEST_F(RegistryTest, LateEventIsProbedByTheNextFiring) {
@@ -747,6 +752,7 @@ TEST_F(RegistryTest, ReplacedRightSideReprobesTheWholeWindow) {
   ContinuousQueryRegistry registry(service_.get(), &fs_);
   bool replaced = false;
   int checked = 0;
+  IdPair saw_105(0, 0);
   auto id = registry.Register(
       WithinSql(), FourPaneOptions(), [&](const WindowResult& result) {
         ASSERT_TRUE(result.status.ok());
@@ -757,8 +763,11 @@ TEST_F(RegistryTest, ReplacedRightSideReprobesTheWholeWindow) {
           EXPECT_EQ(result.reused_events, 0);
           EXPECT_GT(result.window_events, 1);
         }
-        EXPECT_EQ(result.pairs, OneShotPairs(*result.events, "/t/right.tbl"))
+        EXPECT_EQ(result.pairs, OneShotPairs(*result.events, "/t/right2.tbl"))
             << "window " << result.window_index;
+        for (const IdPair& pair : result.pairs) {
+          if (pair.first == 105) saw_105 = pair;
+        }
       });
   ASSERT_TRUE(id.ok()) << id.status();
 
@@ -766,19 +775,21 @@ TEST_F(RegistryTest, ReplacedRightSideReprobesTheWholeWindow) {
   registry.Ingest(Event(101, 8, "POINT (25 25)"));
   registry.Ingest(Event(102, 14, "POINT (15 15)"));
   registry.Ingest(Event(103, 22, "POINT (2 2)"));  // fires [.., 20)
-  // Replace the right table in place with one polygon covering every
-  // event, so each memo computed against the old contents is now wrong.
-  ASSERT_TRUE(fs_.WriteTextFile("/t/right.tbl",
+  // Re-register the right table under a new file holding one polygon
+  // that covers every event, so each memo computed against the old
+  // contents is now wrong and the rebuild must read the new path.
+  ASSERT_TRUE(fs_.WriteTextFile("/t/right2.tbl",
                                 {"7\tPOLYGON ((0 0, 30 0, 30 30, 0 30, 0 0))"})
                   .ok());
   join::TableInput right;
-  right.path = "/t/right.tbl";
+  right.path = "/t/right2.tbl";
   ASSERT_TRUE(service_->RegisterTable("rt", right).ok());
   replaced = true;
   registry.Ingest(Event(104, 27, "POINT (21 29)"));
   registry.Ingest(Event(105, 40, "POINT (9 9)"));
   registry.Flush();
   EXPECT_GT(checked, 3);
+  EXPECT_EQ(saw_105, IdPair(105, 7));
 }
 
 TEST_F(RegistryTest, BadGeometryEventsAreDroppedNotFatal) {

@@ -83,6 +83,37 @@ class SystemsTest : public ::testing::Test {
     EXPECT_EQ(Sorted(isp_prepared_run->pairs), expected) << workload.name;
     EXPECT_EQ(Sorted(standalone_prepared_run->pairs), expected)
         << workload.name;
+
+    // The paper's trait, counted: every pair ISP-MC's UDF or standalone's
+    // refiner does not settle through a prepared grid re-parses WKT; the
+    // cached-parse ablation re-parses none.
+    const auto reparsed = [](const Counters& c) {
+      return c.Get(exec::counter::kRefineReparsed);
+    };
+    const auto prepared_hits = [](const Counters& c) {
+      return c.Get(exec::counter::kPreparedHits);
+    };
+    const Counters& isp_c = isp_run->metrics.counters;
+    EXPECT_GT(reparsed(isp_c), 0) << workload.name;
+    EXPECT_EQ(reparsed(isp_c), isp_c.Get("join.refinements")) << workload.name;
+    const Counters& isp_cached_c = isp_cached_run->metrics.counters;
+    EXPECT_GT(isp_cached_c.Get("join.refinements"), 0) << workload.name;
+    EXPECT_EQ(reparsed(isp_cached_c), 0) << workload.name;
+    const Counters& isp_prepared_c = isp_prepared_run->metrics.counters;
+    EXPECT_EQ(reparsed(isp_prepared_c),
+              isp_prepared_c.Get("join.refinements") -
+                  prepared_hits(isp_prepared_c))
+        << workload.name;
+    const Counters& standalone_c = standalone_run->counters;
+    EXPECT_GT(reparsed(standalone_c), 0) << workload.name;
+    EXPECT_EQ(reparsed(standalone_c),
+              standalone_c.Get(exec::counter::kCandidates))
+        << workload.name;
+    const Counters& standalone_prepared_c = standalone_prepared_run->counters;
+    EXPECT_EQ(reparsed(standalone_prepared_c),
+              standalone_prepared_c.Get(exec::counter::kCandidates) -
+                  prepared_hits(standalone_prepared_c))
+        << workload.name;
   }
 
   dfs::SimFileSystem fs_;
